@@ -40,8 +40,8 @@
 #                     are retried and the minimum kept, so the gate trips
 #                     on real regressions rather than scheduler noise
 #   make check      - everything above
-#   make fuzz       - short fuzz pass over the wire-protocol decoders (gob
-#                     and binary frames), the update screen, the /healthz
+#   make fuzz       - short fuzz pass over the wire-protocol decoders (the
+#                     Hello reader and coded frames), the update screen, the /healthz
 #                     JSON round trip, the checkpoint envelope (CRC +
 #                     corruption invariants), the blocked-GEMM shape
 #                     dispatch (arbitrary shapes vs the naive reference),

@@ -26,7 +26,7 @@ func wireGlobal(dim int) *flnet.Message {
 // benchWireEncode times the zero-reflection binary frame encoder on a full
 // Global broadcast (the per-frame hot path every exchange pays twice).
 func benchWireEncode(b *testing.B) {
-	codec := flnet.NewCodec(flnet.CapBinary, 0, 0, nil)
+	var codec *flnet.Codec // plain binary frames
 	msg := wireGlobal(wireDim)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -41,7 +41,7 @@ func benchWireEncode(b *testing.B) {
 // benchWireDecode times the matching decoder, reusing one state buffer the
 // way the server's exchange path does.
 func benchWireDecode(b *testing.B) {
-	codec := flnet.NewCodec(flnet.CapBinary, 0, 0, nil)
+	var codec *flnet.Codec // plain binary frames
 	var frame bytes.Buffer
 	if err := flnet.WriteMessageWith(&frame, wireGlobal(wireDim), codec); err != nil {
 		b.Fatal(err)
@@ -65,7 +65,7 @@ func benchWireDecode(b *testing.B) {
 // broadcasts): the same sampled streaming federation as round_throughput,
 // with the tx+rx counter movement divided by the round count published as
 // the "bytes/round" extra metric — the number EXPERIMENTS.md tracks
-// against the gob transport.
+// against plain binary frames.
 func benchBytesPerRound(b *testing.B) {
 	const (
 		numClients = 64
@@ -88,7 +88,6 @@ func benchBytesPerRound(b *testing.B) {
 		InitialState: make([]float64, wireDim),
 		Listener:     mem,
 		IOTimeout:    2 * time.Minute,
-		Wire:         "binary",
 		Compress:     true,
 		Quantize:     "int8",
 		Delta:        true,

@@ -80,7 +80,7 @@ type Snapshot struct {
 	// in-flight codec negotiations: the quantization seed stays stable
 	// (clients reconstruct with it) and the broadcast delta chain resumes
 	// from the exact state still-running clients hold. Nil when the server
-	// runs the plain gob/binary transport (and in older files).
+	// offers no payload codecs (plain binary frames), and in older files.
 	Wire *WireState
 }
 

@@ -55,11 +55,10 @@ func runWireFederation(t *testing.T, cfg flnet.ServerConfig, fleet *Fleet) ([]fl
 	return final, stats
 }
 
-// TestWireNegotiationMatrix is the cross-version acceptance matrix: a v3
-// server offering the full codec stack must complete federations with v3
-// full-capability clients, with capability-less v3 clients, and with
-// plain-gob v2 peers that predate the binary format entirely — and the
-// negotiated label must show on /healthz.
+// TestWireNegotiationMatrix is the negotiation acceptance matrix: a server
+// offering the full codec stack must complete federations with
+// full-capability clients and with capability-less (plain binary) clients,
+// and the offered label must show on /healthz.
 func TestWireNegotiationMatrix(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
 	const (
@@ -74,14 +73,12 @@ func TestWireNegotiationMatrix(t *testing.T) {
 		wantLabel string
 	}{
 		{"v3 full codecs", flnet.ClientCaps, 0, "binary+flate+int8+topk+delta"},
-		{"v3 binary only", flnet.CapBinary, 0, "binary+flate+int8+topk+delta"},
-		{"v2 gob peer", 0, flnet.MinProtocolVersion, "binary+flate+int8+topk+delta"},
+		{"v3 binary only", 0, 0, "binary+flate+int8+topk+delta"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ln := Listen(numClients)
 			cfg := wireServerConfig(numClients, rounds, dim, ln)
-			cfg.Wire = "binary"
 			cfg.Compress = true
 			cfg.Quantize = "int8"
 			cfg.TopK = 0.5
@@ -121,8 +118,9 @@ func TestWireNegotiationMatrix(t *testing.T) {
 	}
 }
 
-// TestWireUnsupportedVersionRejected pins the version floor: a protocol-v1
-// hello must be turned away with a version error, not half-served.
+// TestWireUnsupportedVersionRejected pins the version floor: a hello below
+// MinProtocolVersion must be turned away with a version error, not
+// half-served.
 func TestWireUnsupportedVersionRejected(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
 	const numClients = 2
@@ -145,16 +143,16 @@ func TestWireUnsupportedVersionRejected(t *testing.T) {
 		Dial: ln.Dial, IOTimeout: 5 * time.Second}
 	stats := old.Run(ctx)
 	if stats.Done.Load() != 0 || stats.GaveUp.Load() != 1 {
-		t.Fatalf("v1 client outcome done=%d gaveUp=%d, want a rejection", stats.Done.Load(), stats.GaveUp.Load())
+		t.Fatalf("v%d client outcome done=%d gaveUp=%d, want a rejection", flnet.MinProtocolVersion-1, stats.Done.Load(), stats.GaveUp.Load())
 	}
 	cancel()
 	<-srvDone
 }
 
-// TestWireBytesReduction is the tentpole's acceptance criterion: with
+// TestWireBytesReduction is the codec stack's acceptance criterion: with
 // compression, int8 quantization, and delta broadcasts negotiated, the
-// bytes moved per federation round must drop at least 4x against the gob
-// transport at the same scale.
+// bytes moved per federation round must drop at least 4x against plain
+// binary frames at the same scale.
 func TestWireBytesReduction(t *testing.T) {
 	chaos.GuardTest(t, 5*time.Second)
 	const (
@@ -167,14 +165,11 @@ func TestWireBytesReduction(t *testing.T) {
 		cfg := wireServerConfig(numClients, rounds, dim, ln)
 		fleet := &Fleet{N: numClients, Dim: dim, Seed: 9, Dial: ln.Dial, IOTimeout: 20 * time.Second}
 		if coded {
-			cfg.Wire = "binary"
 			cfg.Compress = true
 			cfg.Quantize = "int8"
 			cfg.Delta = true
 			cfg.QuantSeed = 3
 			fleet.Caps = flnet.ClientCaps
-		} else {
-			cfg.Wire = "gob"
 		}
 		// Both ends share the in-process counters, so the tx delta alone
 		// counts every frame exactly once.
@@ -184,12 +179,12 @@ func TestWireBytesReduction(t *testing.T) {
 		return txAfter - txBefore
 	}
 
-	gobBytes := run(false)
+	plainBytes := run(false)
 	codedBytes := run(true)
-	t.Logf("gob: %d bytes, coded: %d bytes (%.1fx reduction over %d rounds)",
-		gobBytes, codedBytes, float64(gobBytes)/float64(codedBytes), rounds)
-	if codedBytes <= 0 || gobBytes < 4*codedBytes {
-		t.Fatalf("coded transport moved %d bytes vs %d gob; want at least a 4x reduction", codedBytes, gobBytes)
+	t.Logf("plain: %d bytes, coded: %d bytes (%.1fx reduction over %d rounds)",
+		plainBytes, codedBytes, float64(plainBytes)/float64(codedBytes), rounds)
+	if codedBytes <= 0 || plainBytes < 4*codedBytes {
+		t.Fatalf("coded transport moved %d bytes vs %d plain; want at least a 4x reduction", codedBytes, plainBytes)
 	}
 }
 
@@ -208,7 +203,6 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 
 	ln := Listen(numClients)
 	cfg := wireServerConfig(numClients, 2, dim, ln)
-	cfg.Wire = "binary"
 	cfg.Compress = true
 	cfg.Quantize = "int8"
 	cfg.Delta = true
@@ -233,7 +227,6 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 
 	// A conflicting seed must be refused before any client connects.
 	conflict := wireServerConfig(numClients, 4, dim, Listen(numClients))
-	conflict.Wire = "binary"
 	conflict.Quantize = "int8"
 	conflict.QuantSeed = seed + 1
 	conflict.CheckpointPath = path
@@ -245,7 +238,6 @@ func TestWireQuantSeedCheckpointResume(t *testing.T) {
 	// federation completes its remaining rounds quantized.
 	ln2 := Listen(numClients)
 	resume := wireServerConfig(numClients, 4, dim, ln2)
-	resume.Wire = "binary"
 	resume.Compress = true
 	resume.Quantize = "int8"
 	resume.Delta = true

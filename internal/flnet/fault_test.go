@@ -295,25 +295,22 @@ func TestRoundDeadlineEvictsStraggler(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDroppedClientRejoinsMidRound proves reconnect-and-resync: client 1's
-// first connection dies right after registration, the round blocks below
 // v3HandshakeLen returns the exact byte count a default RunClient
-// registration crosses on the wire — the capability-advertising hello plus
-// the server's KindWire ack (a default server offers CapBinary alone) — so
-// DropAfter plans can kill a connection on the first post-registration
-// byte.
+// registration crosses on the wire — the capability-advertising hello
+// alone, since a default server offers no codecs and so sends no KindWire
+// ack — so DropAfter plans can kill a connection on the first
+// post-registration byte.
 func v3HandshakeLen(t *testing.T, clientID int) int {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, &Message{Kind: KindHello, ClientID: clientID, Version: ProtocolVersion, LastRound: -1, WireCaps: ClientCaps}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMessage(&buf, &Message{Kind: KindWire, Version: ProtocolVersion, WireCaps: CapBinary}); err != nil {
-		t.Fatal(err)
-	}
 	return buf.Len()
 }
 
+// TestDroppedClientRejoinsMidRound proves reconnect-and-resync: client 1's
+// first connection dies right after registration, the round blocks below
 // quorum, and the client's reconnection (with backoff) is resynced into
 // the *current* round, which then completes with the full cohort.
 func TestDroppedClientRejoinsMidRound(t *testing.T) {

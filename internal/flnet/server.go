@@ -150,22 +150,15 @@ type ServerConfig struct {
 	// EventCapacity bounds the in-memory ring of recent structured
 	// events (Events method). 0 means 256.
 	EventCapacity int
-	// Wire selects the transport framing offered to clients: "binary"
-	// (the default, "" means binary) negotiates v3 zero-reflection binary
-	// frames with capable peers and falls back to gob for v2 peers or
-	// clients that decline; "gob" pins the legacy gob framing for every
-	// session.
-	Wire string
-	// Compress offers flate compression of binary frame payloads; each
+	// Compress offers flate compression of frame payloads; each
 	// frame stores whichever encoding is smaller.
 	Compress bool
 	// Quantize ("", "none", "int8", "int16") offers seeded stochastic
 	// quantization of client uploads (and, with Delta, of the broadcast
 	// itself). Dequantization is a pure function of the payload bytes, so
 	// the exact streaming fold stays bit-deterministic for a fixed
-	// QuantSeed. Requires the binary wire format; incompatible with
-	// cohort-aware (secure-aggregation) defenses, whose pairwise masks do
-	// not survive lossy encoding.
+	// QuantSeed. Incompatible with cohort-aware (secure-aggregation)
+	// defenses, whose pairwise masks do not survive lossy encoding.
 	Quantize string
 	// TopK in (0,1) sparsifies quantized uploads to that fraction of
 	// coordinates (largest |delta| first). 0 means dense uploads.
@@ -292,17 +285,18 @@ type Server struct {
 	streamAgg   fl.StreamingAggregator
 	cohortAware fl.CohortAware
 
-	// Async-mode state, owned by the round loop: asyncCh receives every
-	// exchange result (buffered to NumClients so exchange goroutines never
-	// block, whichever round consumes them), busy tracks in-flight
-	// exchanges across round boundaries, and asyncBuf holds accepted late
-	// updates awaiting a staleness-weighted fold.
-	asyncCh  chan result
+	// Collection state, owned by the round loop: results receives every
+	// exchange result whichever round consumes it (an exchange whose
+	// round has closed delivers into a later round's collection, or gives
+	// up once Run returns), busy maps each client id to its session with
+	// an exchange in flight, and asyncBuf holds late updates awaiting a
+	// staleness-weighted fold (async mode only).
+	results  chan result
 	busy     map[int]*session
 	asyncBuf []*fl.Update
 
 	// Wire-codec state: offerCaps is the capability mask offered at
-	// negotiation (0 = gob only), quantKind the configured upload
+	// negotiation (0 = plain binary only), quantKind the configured upload
 	// quantization, wireLabel the /healthz codec label, and ring the
 	// recent canonical broadcasts that delta/quantized payloads anchor
 	// against (nil unless quantization or delta broadcasts are offered).
@@ -556,6 +550,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ckptRound:   -1,
 		status:      "waiting",
 		joinCh:      make(chan *session, cfg.NumClients),
+		results:     make(chan result, cfg.NumClients),
+		busy:        make(map[int]*session, cfg.NumClients),
 		runDone:     make(chan struct{}),
 		drainCh:     make(chan struct{}),
 		drainKill:   make(chan struct{}),
@@ -580,8 +576,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 	}
 	if cfg.AsyncStaleness > 0 {
-		srv.asyncCh = make(chan result, cfg.NumClients)
-		srv.busy = make(map[int]*session, cfg.NumClients)
 		for _, au := range resumeAsync {
 			srv.asyncBuf = append(srv.asyncBuf, &fl.Update{
 				ClientID:   au.ClientID,
@@ -699,7 +693,7 @@ type session struct {
 	// lastRound is the last round the client reported completing in its
 	// Hello (-1 for a fresh client).
 	lastRound int
-	// codec is the session's negotiated wire codec (nil for gob peers).
+	// codec is the session's negotiated wire codec (nil for plain binary).
 	codec *Codec
 	// anchor is the round whose canonical broadcast the peer is known to
 	// hold — its Hello LastRound until the first Global goes out, then the
@@ -726,17 +720,18 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		}
 	}()
 
+	// Every exit closes the registered sessions, a failed registration
+	// phase (ctx cancel, quorum timeout) included: a registered client
+	// left open would sit in its first read until its own IO timeout.
+	defer s.closeLive()
 	if err := s.acceptCohort(ctx); err != nil {
 		if errors.Is(err, ErrDraining) {
 			// Drained while waiting for the cohort: no round ran, so the
 			// resumed (or initial) state is already the latest checkpoint.
-			state, derr := s.drainExit(s.startRound)
-			s.closeLive()
-			return state, derr
+			return s.drainExit(s.startRound)
 		}
 		return nil, err
 	}
-	defer s.closeLive()
 
 	// Keep accepting for the rest of the run so evicted clients can
 	// rejoin and resync. Run joins the acceptor before returning: a
@@ -774,16 +769,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 				return nil, fmt.Errorf("flnet: round %d: %w", round, err)
 			}
 		}
-		var (
-			updates []*fl.Update
-			report  RoundReport
-			err     error
-		)
-		if s.cfg.AsyncStaleness > 0 {
-			updates, report, err = s.runRoundAsync(ctx, round)
-		} else {
-			updates, report, err = s.runRound(ctx, round)
-		}
+		updates, report, err := s.runRound(ctx, round)
 		if err != nil {
 			if streaming {
 				// Abandon the armed streaming round; screen offenses booked
@@ -1033,26 +1019,16 @@ func (s *Server) joinCheckpoint() error {
 // and Run returns the partial global state alongside ErrDraining.
 func (s *Server) drainExit(round int) ([]float64, error) {
 	var errs []error
-	// Sweep results that arrived since the last round closed into the async
-	// buffer so the final checkpoint carries them; exchanges still in flight
-	// are lost (their clients redial after the restart).
-	if s.asyncCh != nil {
-	sweep:
-		for {
-			select {
-			case res := <-s.asyncCh:
-				if s.busy[res.sess.clientID] == res.sess {
-					delete(s.busy, res.sess.clientID)
-				}
-				if res.err == nil {
-					s.asyncBuf = append(s.asyncBuf, res.u)
-				}
-			default:
-				break sweep
-			}
+	// In async mode, sweep results that arrived since the last round closed
+	// into the buffer so the final checkpoint carries them; exchanges still
+	// in flight are lost (their clients redial after the restart).
+	// Round -1 matches no result, so sync mode discards every one.
+	s.sweepLate(-1, func(res result) {
+		if res.err == nil {
+			s.asyncBuf = append(s.asyncBuf, res.u)
 		}
-		s.tel.AsyncBuffered.Set(int64(len(s.asyncBuf)))
-	}
+	})
+	s.tel.AsyncBuffered.Set(int64(len(s.asyncBuf)))
 	// A pipelined write may still be in flight; land it before deciding
 	// whether a final save is needed (it usually already covers the last
 	// completed round).
@@ -1161,7 +1137,7 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
-	msg, err := ReadMessage(conn)
+	_, msg, err := ReadHello(conn)
 	if err != nil || msg.Kind != KindHello {
 		return nil, reject("malformed registration: want a hello frame")
 	}
@@ -1180,11 +1156,10 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 	}
 	sess := &session{conn: conn, clientID: msg.ClientID, lastRound: msg.LastRound, anchor: msg.LastRound}
 	// Codec negotiation: the intersection of the server's offer and the
-	// client's advertised capabilities. A v2 peer (or a v3 peer pinned to
-	// gob) advertises nothing and the session simply stays gob. The ack is
-	// the session's last gob frame, and it MUST be written before the
-	// session becomes visible to the round loop — a concurrently sampled
-	// cohort could otherwise race a binary Global ahead of the ack.
+	// client's advertised capabilities; an empty one leaves the session on
+	// plain binary frames and needs no ack. The ack MUST be written before
+	// the session becomes visible to the round loop — a concurrently
+	// sampled cohort could otherwise race a coded Global ahead of it.
 	if caps := negotiateCaps(s.offerCaps, msg.WireCaps); caps != 0 {
 		ack := &Message{Kind: KindWire, Version: ProtocolVersion, WireCaps: caps,
 			QuantSeed: s.cfg.QuantSeed, TopK: s.cfg.TopK}
@@ -1308,11 +1283,12 @@ func (s *Server) sendDrain(conn net.Conn) {
 	s.tel.DrainNotices.Inc()
 }
 
-// result is one finished exchange.
+// result is one finished exchange of round.
 type result struct {
-	sess *session
-	u    *fl.Update
-	err  error
+	sess  *session
+	round int
+	u     *fl.Update
+	err   error
 	// sendDur is how long the global-state send took; the round's
 	// broadcast critical path is the max over its cohort.
 	sendDur time.Duration
@@ -1322,10 +1298,10 @@ type result struct {
 // session participates (nil queue). With sampling, the eligible set is the
 // live, non-quarantined membership; the first SampleSize ids of the
 // deterministic draw form the cohort and the remainder — in draw order — is
-// the replacement queue for the quorum fallback. exclude (optional) removes
-// ids from eligibility (async mode's in-flight and already-counted
-// clients).
-func (s *Server) sampleCohort(round int, exclude map[int]bool) (cohort, queue []*session, cohortIDs []int) {
+// the replacement queue for the quorum fallback. Sessions with an exchange
+// still in flight and the ids in counted (updates already folded this
+// round) are never eligible.
+func (s *Server) sampleCohort(round int, counted map[int]bool) (cohort, queue []*session, cohortIDs []int) {
 	s.mu.Lock()
 	liveSessions := make(map[int]*session, len(s.live))
 	for id, sess := range s.live {
@@ -1333,20 +1309,19 @@ func (s *Server) sampleCohort(round int, exclude map[int]bool) (cohort, queue []
 	}
 	s.mu.Unlock()
 
+	for id, sess := range liveSessions {
+		if counted[id] || s.busy[id] == sess {
+			delete(liveSessions, id)
+		}
+	}
 	if s.cfg.SampleSize <= 0 {
-		for id, sess := range liveSessions {
-			if exclude[id] {
-				continue
-			}
+		for _, sess := range liveSessions {
 			cohort = append(cohort, sess)
 		}
 		return cohort, nil, nil
 	}
 	ids := make([]int, 0, len(liveSessions))
 	for id := range liveSessions {
-		if exclude[id] {
-			continue
-		}
 		if s.screen != nil && s.screen.Quarantined(id, round) {
 			continue // quarantined clients are never sampled
 		}
@@ -1368,27 +1343,119 @@ func (s *Server) sampleCohort(round int, exclude map[int]bool) (cohort, queue []
 	return cohort, queue, cohortIDs
 }
 
-// runRound broadcasts the global state and collects updates until every
-// launched client reported, or — after RoundDeadline — a quorum of
-// MinClients did. Failed or straggling clients are evicted (they may rejoin
-// later); with sampling on, evicted cohort members are replaced from the
-// deterministic draw's remainder so a partitioned cohort slice doesn't
-// stall the round; every client error of the round is joined into the
-// report. With streaming aggregation armed, each update is screened and
-// folded the moment it arrives and its buffer recycled — the returned
-// updates slice stays nil and the caller finalizes via core.FinishRound.
+// runRound broadcasts the global state to the round's cohort and collects
+// updates from the server-lifetime results channel. Failed clients are
+// evicted (they may rejoin later); with sampling on, evicted cohort members
+// are replaced from the deterministic draw's remainder so a partitioned
+// cohort slice doesn't stall the round; every client error of the round is
+// joined into the report. With streaming aggregation armed, each update is
+// screened and folded the moment it arrives and its buffer recycled — the
+// returned updates slice stays nil and the caller finalizes via
+// core.FinishRound.
+//
+// Synchronous and async rounds share this loop and differ in three rules:
+//   - A result from an earlier round is dropped in sync mode (its sender
+//     was evicted as a straggler when that round closed); async mode folds
+//     it, weighted down by age (fl.StalenessWeight), unless it is more than
+//     AsyncStaleness rounds old.
+//   - A sync round completes once every launched client has reported, or
+//     once RoundDeadline has passed with a quorum of MinClients; an async
+//     round completes as soon as MinClients updates are accepted.
+//   - A sync round evicts the stragglers still in flight when it
+//     completes; async mode leaves them running for a later round.
 func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundReport, error) {
 	bc := s.prepareBroadcast(round)
 	report := RoundReport{Round: round}
 	roundStart := time.Now()
-	streaming := s.streamAgg != nil
+	async := s.cfg.AsyncStaleness > 0
 	sampling := s.cfg.SampleSize > 0
 
-	results := make(chan result, s.cfg.NumClients)
-	included := make(map[*session]bool)
-	pending := 0
+	var (
+		updates  []*fl.Update
+		errs     []error
+		got      int                       // updates counted toward quorum
+		pending  int                       // this round's exchanges still in flight
+		included = make(map[*session]bool) // sessions launched this round
+	)
+	evict := func(sess *session, err error) {
+		s.mu.Lock()
+		if s.live[sess.clientID] == sess {
+			delete(s.live, sess.clientID)
+			s.tel.LiveClients.Set(int64(len(s.live)))
+		}
+		s.mu.Unlock()
+		sess.conn.Close()
+		s.tel.ClientsEvicted.Inc()
+		report.Dropped = append(report.Dropped, sess.clientID)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("client %d: %w", sess.clientID, err))
+		}
+	}
+	// accept counts one update toward the round, weighted by its age in
+	// rounds; too-stale updates are dropped. A fold error is structural:
+	// the caller evicts the sender.
+	accept := func(u *fl.Update) error {
+		staleness := round - u.Round
+		if staleness > s.cfg.AsyncStaleness {
+			PutState(u.State)
+			u.State = nil
+			s.tel.AsyncStaleDropped.Inc()
+			s.logf(round, u.ClientID, "flnet: round %d: dropped update from client %d: %d rounds stale (max %d)",
+				round, u.ClientID, staleness, s.cfg.AsyncStaleness)
+			return nil
+		}
+		u.Staleness = staleness
+		if s.streamAgg != nil {
+			// Screen and fold immediately, then recycle the buffer. The
+			// screen's verdicts land in the post-round report exactly like
+			// the materialized path (applyScreenOutcome).
+			_, err := s.core.Offer(u)
+			PutState(u.State)
+			u.State = nil
+			if err != nil {
+				return err
+			}
+		} else {
+			updates = append(updates, u)
+		}
+		got++
+		report.Participants = append(report.Participants, u.ClientID)
+		if staleness > 0 {
+			report.Stale++
+			s.tel.AsyncStaleAccepted.Inc()
+		}
+		return nil
+	}
+	observeSend := func(res result) {
+		if res.sendDur > report.Timing.Broadcast {
+			report.Timing.Broadcast = res.sendDur
+		}
+	}
 
-	cohort, queue, cohortIDs := s.sampleCohort(round, nil)
+	// Async mode: buffer what arrived since the last round closed, then fold
+	// the whole buffer (updates restored from a checkpoint come first); each
+	// entry either counts toward this round's quorum or ages out. In sync
+	// mode the sweep only discards leftovers of earlier rounds.
+	s.sweepLate(round, func(res result) {
+		observeSend(res)
+		if res.err != nil {
+			evict(res.sess, res.err)
+			return
+		}
+		s.asyncBuf = append(s.asyncBuf, res.u)
+	})
+	counted := make(map[int]bool, len(s.asyncBuf))
+	for _, u := range s.asyncBuf {
+		counted[u.ClientID] = true
+		accept(u) //nolint:errcheck // the sender may be gone; nothing to evict
+	}
+	s.asyncBuf = s.asyncBuf[:0]
+
+	// Launch this round's cohort among clients with no exchange in flight
+	// and no update already counted this round. The broadcast always goes
+	// out — even when the buffer alone met quorum — so the fleet keeps
+	// training.
+	cohort, queue, cohortIDs := s.sampleCohort(round, counted)
 	if sampling {
 		report.Sampled = append([]int(nil), cohortIDs...)
 	}
@@ -1408,9 +1475,17 @@ func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundRe
 	launch := func(sess *session) {
 		included[sess] = true
 		pending++
+		s.busy[sess.clientID] = sess
 		go func() {
 			u, sendDur, err := s.exchange(sess, round, bc, announce)
-			results <- result{sess: sess, u: u, err: err, sendDur: sendDur}
+			select {
+			case s.results <- result{sess: sess, round: round, u: u, err: err, sendDur: sendDur}:
+			case <-s.runDone:
+				// No round will ever collect it.
+				if u != nil {
+					PutState(u.State)
+				}
+			}
 		}()
 	}
 	for _, sess := range cohort {
@@ -1419,31 +1494,11 @@ func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundRe
 
 	var deadlineTimer *time.Timer
 	var deadlineCh <-chan time.Time
+	deadlineHit := false
 	if s.cfg.RoundDeadline > 0 {
 		deadlineTimer = time.NewTimer(s.cfg.RoundDeadline)
 		defer deadlineTimer.Stop()
 		deadlineCh = deadlineTimer.C
-	}
-
-	var (
-		updates     []*fl.Update
-		errs        []error
-		got         int // updates counted toward quorum
-		deadlineHit bool
-	)
-	evict := func(sess *session, err error) {
-		s.mu.Lock()
-		if s.live[sess.clientID] == sess {
-			delete(s.live, sess.clientID)
-			s.tel.LiveClients.Set(int64(len(s.live)))
-		}
-		s.mu.Unlock()
-		sess.conn.Close()
-		s.tel.ClientsEvicted.Inc()
-		report.Dropped = append(report.Dropped, sess.clientID)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("client %d: %w", sess.clientID, err))
-		}
 	}
 	// refillOne replaces an evicted or straggling cohort member with the
 	// next id in the deterministic draw, keeping the round on course for
@@ -1470,130 +1525,65 @@ func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundRe
 		deadlineTimer.Reset(s.cfg.RoundDeadline)
 		deadlineCh = deadlineTimer.C
 	}
-	// reap consumes the n results still owed to the channel so abandoned
-	// exchange goroutines can always complete their send and exit.
-	reap := func(n int) {
-		if n > 0 {
-			go func() {
-				for i := 0; i < n; i++ {
-					<-results
-				}
-			}()
+	evictAndRefill := func(sess *session, err error) {
+		evict(sess, err)
+		if refillOne() {
+			restartDeadline()
 		}
 	}
-	// finish drains the exchanges still in flight after a quorum decision:
-	// their sessions are evicted (closing the conn unblocks the exchange
-	// goroutine) and a reaper consumes their results so nothing leaks.
-	finish := func() ([]*fl.Update, RoundReport, error) {
-		if pending > 0 {
-			s.mu.Lock()
-			stragglers := make([]*session, 0, pending)
-			for sess := range included {
-				if s.live[sess.clientID] == sess {
-					stragglers = append(stragglers, sess)
-				}
-			}
-			s.mu.Unlock()
-			for _, sess := range stragglers {
-				done := false
-				for _, id := range report.Participants {
-					if id == sess.clientID {
-						done = true
-						break
-					}
-				}
-				if !done {
-					s.tel.StragglersEvicted.Inc()
-					evict(sess, fmt.Errorf("no update within round deadline %s", s.cfg.RoundDeadline))
-				}
-			}
-			reap(pending)
-		}
-		report.Timing.Wait = time.Since(roundStart)
-		s.tel.RoundBroadcastSeconds.Observe(report.Timing.Broadcast.Seconds())
-		s.tel.RoundWaitSeconds.Observe(report.Timing.Wait.Seconds())
+	fail := func(err error) ([]*fl.Update, RoundReport, error) {
 		report.Err = errors.Join(errs...)
-		return updates, report, nil
+		return nil, report, err
 	}
 
 	for {
-		if pending == 0 {
-			if got >= s.cfg.MinClients {
-				return finish()
-			}
-			// Below quorum with nothing in flight: resample a replacement
-			// when the draw has any left; otherwise, without a deadline the
-			// round can never recover — with one, a rejoining client may
-			// still push the round to quorum before the deadline.
-			if !refillOne() && (deadlineCh == nil || deadlineHit) {
-				report.Err = errors.Join(errs...)
-				return nil, report, fmt.Errorf("quorum not met: %d/%d updates: %w", got, s.cfg.MinClients, report.Err)
-			}
+		// Completion rule: quorum, and in sync mode also no launched
+		// client left to wait for (or the deadline gone).
+		if got >= s.cfg.MinClients && (async || pending == 0 || deadlineHit) {
+			break
+		}
+		// Below quorum with nothing owed: resample a replacement when the
+		// draw has any left. Otherwise the round can never recover — unless,
+		// in sync mode, a rejoining client pushes it to quorum before the
+		// deadline. Async mode counts exchanges of any round as owed.
+		owed := pending
+		if async {
+			owed = len(s.busy)
+		}
+		if owed == 0 && !refillOne() && (async || deadlineCh == nil || deadlineHit) {
+			return fail(fmt.Errorf("quorum not met: %d/%d updates: %w", got, s.cfg.MinClients, errors.Join(errs...)))
 		}
 		select {
 		case <-ctx.Done():
-			reap(pending)
-			report.Err = errors.Join(errs...)
-			return nil, report, ctx.Err()
+			return fail(ctx.Err())
 		case <-s.drainKill:
 			// The drain deadline expired: abort the round. In-flight
-			// exchanges are reaped; their sessions close with the rest of
-			// the live set when Run returns.
-			reap(pending)
-			report.Err = errors.Join(errs...)
-			return nil, report, ErrDraining
-		case res := <-results:
-			pending--
-			if res.sendDur > report.Timing.Broadcast {
-				report.Timing.Broadcast = res.sendDur
-			}
-			switch {
-			case res.err != nil:
-				evict(res.sess, res.err)
-				if refillOne() {
-					restartDeadline()
-				}
-			case streaming:
-				// Screen and fold immediately, then recycle the buffer. The
-				// screen's verdicts land in the post-round report exactly
-				// like the materialized path (applyScreenOutcome); a fold
-				// error is structural, so the sender is evicted.
-				_, err := s.core.Offer(res.u)
-				PutState(res.u.State)
-				res.u.State = nil
-				if err != nil {
-					evict(res.sess, err)
-					if refillOne() {
-						restartDeadline()
-					}
-					break
-				}
-				got++
-				report.Participants = append(report.Participants, res.sess.clientID)
-			default:
-				updates = append(updates, res.u)
-				got++
-				report.Participants = append(report.Participants, res.sess.clientID)
-			}
-			if deadlineHit && got >= s.cfg.MinClients {
-				return finish()
-			}
-			if pending == 0 && got >= s.cfg.MinClients {
-				return finish()
-			}
-		case sess := <-s.joinCh:
-			if sampling || included[sess] {
-				// Sampled rounds take rejoiners from the next round's draw;
-				// the session is already in the live set.
+			// exchanges close with the rest of the live set when Run returns.
+			return fail(ErrDraining)
+		case res := <-s.results:
+			if !s.settle(res, round) {
 				break
 			}
-			launch(sess)
+			if res.round == round {
+				pending--
+			}
+			observeSend(res)
+			if res.err != nil {
+				evictAndRefill(res.sess, res.err)
+				break
+			}
+			if err := accept(res.u); err != nil {
+				evictAndRefill(res.sess, err)
+			}
+		case sess := <-s.joinCh:
+			// Sampled and async rounds take rejoiners from the next round's
+			// draw; the session is already in the live set.
+			if !sampling && !async && !included[sess] {
+				launch(sess)
+			}
 		case <-deadlineCh:
 			deadlineHit = true
 			deadlineCh = nil
-			if got >= s.cfg.MinClients {
-				return finish()
-			}
 			// Below quorum at the deadline: pessimistically assume the
 			// stragglers never report and resample enough replacements to
 			// reach quorum, with a fresh collection window.
@@ -1608,223 +1598,53 @@ func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundRe
 			}
 		}
 	}
+
+	if !async {
+		// Evict the stragglers; closing the conn unblocks their exchange,
+		// whose result a later round drops.
+		for sess := range included {
+			if s.busy[sess.clientID] == sess {
+				s.tel.StragglersEvicted.Inc()
+				evict(sess, fmt.Errorf("no update within round deadline %s", s.cfg.RoundDeadline))
+			}
+		}
+	}
+	report.Timing.Wait = time.Since(roundStart)
+	s.tel.RoundBroadcastSeconds.Observe(report.Timing.Broadcast.Seconds())
+	s.tel.RoundWaitSeconds.Observe(report.Timing.Wait.Seconds())
+	s.tel.AsyncBuffered.Set(int64(len(s.asyncBuf)))
+	report.Err = errors.Join(errs...)
+	return updates, report, nil
 }
 
-// runRoundAsync is the buffered asynchronous variant of runRound: exchange
-// results flow through the server-lifetime asyncCh, and stragglers are
-// never evicted at a round boundary — their updates surface in a later
-// round, weighted down by age (fl.StalenessWeight), until they exceed
-// AsyncStaleness rounds and are dropped. The round completes as soon as
-// MinClients updates (buffered or fresh) are accepted.
-func (s *Server) runRoundAsync(ctx context.Context, round int) ([]*fl.Update, RoundReport, error) {
-	bc := s.prepareBroadcast(round)
-	report := RoundReport{Round: round}
-	roundStart := time.Now()
-	streaming := s.streamAgg != nil
-	sampling := s.cfg.SampleSize > 0
-
-	var (
-		updates []*fl.Update
-		errs    []error
-		got     int
-	)
-	evict := func(sess *session, err error) {
-		s.mu.Lock()
-		if s.live[sess.clientID] == sess {
-			delete(s.live, sess.clientID)
-			s.tel.LiveClients.Set(int64(len(s.live)))
-		}
-		s.mu.Unlock()
-		sess.conn.Close()
-		s.tel.ClientsEvicted.Inc()
-		report.Dropped = append(report.Dropped, sess.clientID)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("client %d: %w", sess.clientID, err))
-		}
+// settle marks res's exchange finished and reports whether its update may
+// still count toward round. A result from an earlier round counts only in
+// async mode: a sync round evicted its sender as a straggler when it
+// closed, so the update is recycled here.
+func (s *Server) settle(res result, round int) bool {
+	if s.busy[res.sess.clientID] == res.sess {
+		delete(s.busy, res.sess.clientID)
 	}
-	// accept folds one update into the round, weighted by its age in
-	// rounds; too-stale updates are dropped. sess is nil for updates
-	// restored from a checkpoint.
-	accept := func(u *fl.Update, sess *session) {
-		staleness := round - u.Round
-		if staleness > s.cfg.AsyncStaleness {
-			PutState(u.State)
-			u.State = nil
-			s.tel.AsyncStaleDropped.Inc()
-			s.logf(round, u.ClientID, "flnet: round %d: dropped update from client %d: %d rounds stale (max %d)",
-				round, u.ClientID, staleness, s.cfg.AsyncStaleness)
-			return
-		}
-		u.Staleness = staleness
-		if streaming {
-			_, err := s.core.Offer(u)
-			PutState(u.State)
-			u.State = nil
-			if err != nil {
-				if sess != nil {
-					evict(sess, err)
-				}
-				return
-			}
-		} else {
-			updates = append(updates, u)
-		}
-		got++
-		report.Participants = append(report.Participants, u.ClientID)
-		if staleness > 0 {
-			report.Stale++
-			s.tel.AsyncStaleAccepted.Inc()
-		}
-	}
-
-	// Sweep results that arrived since the last round closed into the
-	// buffer, then fold the whole buffer (each entry either counts toward
-	// this round's quorum or ages out).
-	consumeResult := func(res result) {
-		if s.busy[res.sess.clientID] == res.sess {
-			delete(s.busy, res.sess.clientID)
-		}
-		if res.sendDur > report.Timing.Broadcast {
-			report.Timing.Broadcast = res.sendDur
-		}
-		if res.err != nil {
-			evict(res.sess, res.err)
-			return
-		}
-		s.asyncBuf = append(s.asyncBuf, res.u)
-	}
-sweep:
-	for {
-		select {
-		case res := <-s.asyncCh:
-			consumeResult(res)
-		default:
-			break sweep
-		}
-	}
-	counted := make(map[int]bool, len(s.asyncBuf))
-	for _, u := range s.asyncBuf {
-		counted[u.ClientID] = true
-		accept(u, nil)
-	}
-	s.asyncBuf = s.asyncBuf[:0]
-
-	// Launch this round's cohort among clients with no exchange in flight
-	// and no update already counted this round. The broadcast always goes
-	// out — even when the buffer alone met quorum — so the fleet keeps
-	// training; fresh results that miss this round's close are buffered
-	// for the next.
-	exclude := make(map[int]bool, len(s.busy)+len(counted))
-	for id := range s.busy {
-		exclude[id] = true
-	}
-	for id := range counted {
-		exclude[id] = true
-	}
-	cohort, queue, cohortIDs := s.sampleCohort(round, exclude)
-	if sampling {
-		report.Sampled = append([]int(nil), cohortIDs...)
-	}
-	launch := func(sess *session) {
-		s.busy[sess.clientID] = sess
-		go func() {
-			u, sendDur, err := s.exchange(sess, round, bc, nil)
-			s.asyncCh <- result{sess: sess, u: u, err: err, sendDur: sendDur}
-		}()
-	}
-	for _, sess := range cohort {
-		launch(sess)
-	}
-
-	refill := sampling
-	refillOne := func() bool {
-		if !refill || len(queue) == 0 {
-			return false
-		}
-		next := queue[0]
-		queue = queue[1:]
-		report.Sampled = append(report.Sampled, next.clientID)
-		s.tel.SampleReplacements.Inc()
-		launch(next)
+	if res.round == round || s.cfg.AsyncStaleness > 0 {
 		return true
 	}
-
-	var deadlineTimer *time.Timer
-	var deadlineCh <-chan time.Time
-	deadlineHit := false
-	if s.cfg.RoundDeadline > 0 {
-		deadlineTimer = time.NewTimer(s.cfg.RoundDeadline)
-		defer deadlineTimer.Stop()
-		deadlineCh = deadlineTimer.C
+	if res.u != nil {
+		PutState(res.u.State)
 	}
-	restartDeadline := func() {
-		if deadlineTimer == nil || !deadlineHit {
-			return
-		}
-		deadlineHit = false
-		deadlineTimer.Reset(s.cfg.RoundDeadline)
-		deadlineCh = deadlineTimer.C
-	}
+	return false
+}
 
-	finish := func() ([]*fl.Update, RoundReport, error) {
-		report.Timing.Wait = time.Since(roundStart)
-		s.tel.RoundBroadcastSeconds.Observe(report.Timing.Broadcast.Seconds())
-		s.tel.RoundWaitSeconds.Observe(report.Timing.Wait.Seconds())
-		s.tel.AsyncBuffered.Set(int64(len(s.asyncBuf)))
-		report.Err = errors.Join(errs...)
-		return updates, report, nil
-	}
-
+// sweepLate settles every result already delivered, without blocking, and
+// hands the ones that still count toward round to fn.
+func (s *Server) sweepLate(round int, fn func(result)) {
 	for {
-		if got >= s.cfg.MinClients {
-			return finish()
-		}
-		// Below quorum with no exchange in flight anywhere: resample if the
-		// draw has anyone left, otherwise nothing can ever arrive.
-		if len(s.busy) == 0 && !refillOne() {
-			report.Err = errors.Join(errs...)
-			return nil, report, fmt.Errorf("quorum not met: %d/%d updates: %w", got, s.cfg.MinClients, report.Err)
-		}
 		select {
-		case <-ctx.Done():
-			report.Err = errors.Join(errs...)
-			return nil, report, ctx.Err()
-		case <-s.drainKill:
-			report.Err = errors.Join(errs...)
-			return nil, report, ErrDraining
-		case res := <-s.asyncCh:
-			if s.busy[res.sess.clientID] == res.sess {
-				delete(s.busy, res.sess.clientID)
+		case res := <-s.results:
+			if s.settle(res, round) {
+				fn(res)
 			}
-			if res.sendDur > report.Timing.Broadcast {
-				report.Timing.Broadcast = res.sendDur
-			}
-			if res.err != nil {
-				evict(res.sess, res.err)
-				if refillOne() {
-					restartDeadline()
-				}
-				break
-			}
-			accept(res.u, res.sess)
-		case <-s.joinCh:
-			// Rejoiners become eligible at the next round's draw; the
-			// session is already in the live set.
-		case <-deadlineCh:
-			deadlineHit = true
-			deadlineCh = nil
-			// Stragglers are not evicted in async mode — their updates are
-			// still welcome later — but below quorum the round resamples
-			// replacements rather than waiting on them.
-			launched := 0
-			for got+launched < s.cfg.MinClients && refillOne() {
-				launched++
-			}
-			if launched > 0 {
-				s.logf(round, -1, "flnet: round %d: deadline passed below quorum (%d/%d); resampled %d replacements",
-					round, got, s.cfg.MinClients, launched)
-				restartDeadline()
-			}
+		default:
+			return
 		}
 	}
 }

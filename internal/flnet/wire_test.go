@@ -8,12 +8,14 @@ import (
 )
 
 // TestMessageRoundTrip encodes and decodes a representative Message for
-// every Kind, covering all fields including the v2 additions (Version,
-// LastRound) and the KindError payload.
+// every Kind with the plain codec, covering all fields including the
+// handshake ones (Version, LastRound, WireCaps, Job, QuantSeed, TopK) and
+// the KindError payload.
 func TestMessageRoundTrip(t *testing.T) {
 	msgs := []Message{
-		{Kind: KindHello, ClientID: 3, Version: ProtocolVersion, LastRound: -1},
+		{Kind: KindHello, ClientID: 3, Version: ProtocolVersion, LastRound: -1, WireCaps: ClientCaps, Job: "celeba-a"},
 		{Kind: KindHello, ClientID: 0, Version: ProtocolVersion, LastRound: 7},
+		{Kind: KindWire, Version: ProtocolVersion, WireCaps: CapFlate | CapQuantInt8 | CapTopK, QuantSeed: -5, TopK: 0.25},
 		{Kind: KindGlobal, Round: 4, State: []float64{0.25, -1.5, 3}},
 		{Kind: KindUpdate, ClientID: 1, Round: 4, State: []float64{1, 2}, NumSamples: 128},
 		{Kind: KindDone, State: []float64{0.5}},
@@ -32,7 +34,8 @@ func TestMessageRoundTrip(t *testing.T) {
 			if got.Kind != want.Kind || got.ClientID != want.ClientID ||
 				got.Round != want.Round || got.NumSamples != want.NumSamples ||
 				got.Version != want.Version || got.LastRound != want.LastRound ||
-				got.Err != want.Err {
+				got.Err != want.Err || got.Job != want.Job || got.WireCaps != want.WireCaps ||
+				got.QuantSeed != want.QuantSeed || got.TopK != want.TopK {
 				t.Fatalf("round trip mismatch: got %+v want %+v", *got, want)
 			}
 			if len(got.State) != len(want.State) {
@@ -51,13 +54,13 @@ func TestMessageRoundTrip(t *testing.T) {
 // bypassing WriteMessage's consistency.
 func frame(length uint32, payload []byte) []byte {
 	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], length)
+	binary.LittleEndian.PutUint32(header[:], length)
 	return append(header[:], payload...)
 }
 
-// TestReadMessageMalformed table-drives the decoder's failure paths:
+// TestReadMessageMalformed table-drives the plain decoder's failure paths:
 // truncated headers and payloads, out-of-range length prefixes, and
-// payloads that are not valid gob.
+// payloads that are not v3 frames.
 func TestReadMessageMalformed(t *testing.T) {
 	valid := func() []byte {
 		var buf bytes.Buffer
@@ -79,7 +82,7 @@ func TestReadMessageMalformed(t *testing.T) {
 		{"max uint32 length", frame(^uint32(0), nil), "out of range"},
 		{"truncated payload", valid[:len(valid)-1], "read payload"},
 		{"header only", valid[:4], "read payload"},
-		{"garbage payload", frame(4, []byte{0xde, 0xad, 0xbe, 0xef}), "decode"},
+		{"garbage payload", frame(minFrameLen, bytes.Repeat([]byte{0xde, 0xad, 0xbe, 0xef}, minFrameLen/4)), "bad frame magic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,25 +120,30 @@ func TestReadMessageTrailingData(t *testing.T) {
 	}
 }
 
-// FuzzReadMessage throws arbitrary bytes at the decoder: it must either
-// return a message or an error, never panic, and never read past one
-// frame's worth of input.
+// FuzzReadMessage throws arbitrary bytes at ReadHello, the plain decoder
+// every registrant's first frame goes through (server registration and the
+// service front door): it must either return a message or an error, never
+// panic, never consume more than the frame it returns, and anything it
+// accepts must survive a round trip.
 func FuzzReadMessage(f *testing.F) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Message{Kind: KindUpdate, ClientID: 1, Round: 2, State: []float64{1.5}, NumSamples: 10}); err != nil {
+	if err := WriteMessage(&buf, &Message{Kind: KindHello, ClientID: 1, Version: ProtocolVersion, LastRound: 2, WireCaps: ClientCaps, Job: "job-1"}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(frame(^uint32(0), []byte("x")))
-	f.Add(frame(8, []byte{1, 2, 3}))
+	f.Add(frame(maxHelloBytes, []byte{frameMagic, byte(KindHello)}))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		r := bytes.NewReader(raw)
-		msg, err := ReadMessage(r)
+		frameBytes, msg, err := ReadHello(r)
 		if err != nil {
 			return
+		}
+		if len(frameBytes)+r.Len() != len(raw) || !bytes.Equal(frameBytes, raw[:len(frameBytes)]) {
+			t.Fatalf("ReadHello returned %d bytes that are not the %d it consumed", len(frameBytes), len(raw)-r.Len())
 		}
 		// A successfully decoded message must survive a round trip.
 		var out bytes.Buffer
@@ -146,7 +154,8 @@ func FuzzReadMessage(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if again.Kind != msg.Kind || again.ClientID != msg.ClientID || again.Round != msg.Round {
+		if again.Kind != msg.Kind || again.ClientID != msg.ClientID || again.Round != msg.Round ||
+			again.Job != msg.Job || again.Err != msg.Err || again.WireCaps != msg.WireCaps || again.QuantSeed != msg.QuantSeed {
 			t.Fatalf("round trip changed message: %+v vs %+v", *again, *msg)
 		}
 	})

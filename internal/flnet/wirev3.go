@@ -14,9 +14,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Version 3 frame format. After the gob Hello/KindWire handshake a binary
-// session frames every message as a 4-byte little-endian payload length
-// followed by:
+// Version 3 frame format. Every message of a session, Hello and the
+// KindWire ack included, is framed as a 4-byte little-endian payload
+// length followed by:
 //
 //	off  0  u8    magic (0xD3)
 //	off  1  u8    kind
@@ -25,7 +25,8 @@ import (
 //	off  4  i64le ClientID     off 12  i64le Round     off 20  i64le NumSamples
 //	off 28  i64le Version      off 36  i64le LastRound off 44  i64le RetryAfterMs
 //	off 52  i64le AnchorRound  (delta base round; -1 when not a delta)
-//	off 60  u32le errLen,    errLen bytes   (KindError text)
+//	off 60  i64le QuantSeed    off 68  f64le TopK      off 76  u32le WireCaps
+//	off 80  u32le textLen,   textLen bytes  (Job on KindHello, Err otherwise)
 //	        u32le cohortN,   cohortN × i32le (sampled cohort ids)
 //	        u32le rawLen     (state section length before compression; 0 = no state)
 //	        u32le storedLen, storedLen bytes (flate-compressed iff flagFlate)
@@ -52,9 +53,8 @@ var (
 		"global broadcasts sent in full on a delta-capable session (anchor missing or too old)")
 )
 
-// frameMagic guards binary frames against a peer that fell out of codec
-// sync (e.g. a gob frame read as binary): the first payload byte of every
-// v3 frame.
+// frameMagic guards against a peer that fell out of codec sync or speaks
+// another protocol: the first payload byte of every v3 frame.
 const frameMagic = 0xD3
 
 // Frame flags.
@@ -69,12 +69,12 @@ const (
 // minFrameLen the smallest well-formed payload (header plus the four empty
 // section length prefixes).
 const (
-	fixedHeaderLen = 60
+	fixedHeaderLen = 80
 	minFrameLen    = fixedHeaderLen + 4 + 4 + 4 + 4
 )
 
-// Codec is one session's negotiated wire configuration. A nil Codec (or
-// one without CapBinary) means the unchanged gob protocol. Base, when
+// Codec is one session's negotiated wire configuration. A nil Codec means
+// plain binary frames: no compression, quantization or deltas. Base, when
 // delta or quantized payloads are negotiated, resolves an anchor round to
 // the broadcast state both ends share for it (the server answers from its
 // recent-broadcast ring, the client from its anchor buffers); returning
@@ -87,10 +87,11 @@ type Codec struct {
 	base      func(round int) []float64
 }
 
-// NewCodec builds a session codec from negotiated capabilities. base may
-// be nil when neither delta nor quantized payloads were negotiated.
+// NewCodec builds a session codec from negotiated capabilities (nil, the
+// plain codec, when caps is 0). base may be nil when neither delta nor
+// quantized payloads were negotiated.
 func NewCodec(caps uint32, quantSeed int64, topK float64, base func(round int) []float64) *Codec {
-	if caps&CapBinary == 0 {
+	if caps == 0 {
 		return nil
 	}
 	if caps&CapTopK == 0 {
@@ -99,21 +100,10 @@ func NewCodec(caps uint32, quantSeed int64, topK float64, base func(round int) [
 	return &Codec{caps: caps, quantSeed: quantSeed, topK: topK, base: base}
 }
 
-// Binary reports whether the session speaks binary frames.
-func (c *Codec) Binary() bool { return c != nil && c.caps&CapBinary != 0 }
-
-// Caps returns the negotiated capability bitmask (0 for a gob session).
-func (c *Codec) Caps() uint32 {
-	if c == nil {
-		return 0
-	}
-	return c.caps
-}
-
 func (c *Codec) has(cap uint32) bool { return c != nil && c.caps&cap != 0 }
 
 // QuantKind returns the negotiated upload quantization width (QuantNone on
-// gob or unquantized sessions).
+// unquantized sessions).
 func (c *Codec) QuantKind() fl.QuantKind {
 	switch {
 	case c.has(CapQuantInt16):
@@ -134,11 +124,8 @@ func (c *Codec) lookup(round int) []float64 {
 }
 
 // CapsLabel renders a capability bitmask as the human-readable codec label
-// used on /healthz ("gob", "binary", "binary+flate+int8+topk+delta", ...).
+// used on /healthz ("binary", "binary+flate+int8+topk+delta", ...).
 func CapsLabel(caps uint32) string {
-	if caps&CapBinary == 0 {
-		return "gob"
-	}
 	parts := []string{"binary"}
 	if caps&CapFlate != 0 {
 		parts = append(parts, "flate")
@@ -158,37 +145,13 @@ func CapsLabel(caps uint32) string {
 }
 
 // negotiateCaps intersects the server's offered capabilities with a
-// client's advertised ones. Without CapBinary nothing else can apply (the
-// session stays gob), and top-k is meaningful only with quantization.
+// client's advertised ones; top-k is meaningful only with quantization.
 func negotiateCaps(offer, advertised uint32) uint32 {
 	caps := offer & advertised
-	if caps&CapBinary == 0 {
-		return 0
-	}
 	if caps&(CapQuantInt8|CapQuantInt16) == 0 {
 		caps &^= CapTopK
 	}
 	return caps
-}
-
-// WriteMessageWith encodes msg with the session codec: binary frames after
-// a v3 negotiation, the classic gob frames otherwise.
-func WriteMessageWith(w io.Writer, msg *Message, c *Codec) error {
-	if !c.Binary() {
-		return WriteMessage(w, msg)
-	}
-	return writeBinary(w, msg, c)
-}
-
-// ReadMessageWith decodes one frame with the session codec into msg,
-// reusing msg's State backing array like ReadMessageInto. Delta and
-// quantized payloads are reconstructed against the codec's anchor states,
-// so msg.State always carries the full absolute vector on return.
-func ReadMessageWith(r io.Reader, msg *Message, c *Codec) error {
-	if !c.Binary() {
-		return ReadMessageInto(r, msg)
-	}
-	return readBinary(r, msg, c)
 }
 
 // flate writer/reader pools: Reset-able instances so steady-state rounds
@@ -371,9 +334,11 @@ func encodeStateSection(sec []byte, msg *Message, c *Codec) ([]byte, byte, int, 
 	return sec, flags, -1, nil
 }
 
-// writeBinary encodes msg as one v3 binary frame (single Write, like the
-// gob path).
-func writeBinary(w io.Writer, msg *Message, c *Codec) error {
+// WriteMessageWith encodes msg as one v3 frame with the session codec (nil
+// for plain binary). The header and payload go out in a single Write so a
+// frame is never split across syscalls (and fault injectors that act on
+// whole writes see whole frames).
+func WriteMessageWith(w io.Writer, msg *Message, c *Codec) error {
 	secBP := readBufPool.Get().(*[]byte)
 	defer putReadBuf(secBP)
 	sec, flags, anchorRound, err := encodeStateSection((*secBP)[:0], msg, c)
@@ -396,7 +361,11 @@ func writeBinary(w io.Writer, msg *Message, c *Codec) error {
 	buf := writeBufPool.Get().(*bytes.Buffer)
 	defer putWriteBuf(buf)
 	buf.Reset()
-	need := 4 + minFrameLen + len(msg.Err) + 4*len(msg.Cohort) + len(stored)
+	text := msg.Err
+	if msg.Kind == KindHello {
+		text = msg.Job
+	}
+	need := 4 + minFrameLen + len(text) + 4*len(msg.Cohort) + len(stored)
 	buf.Grow(need)
 	b := buf.Bytes()[:0]
 	b = append(b, 0, 0, 0, 0) // length prefix, patched below
@@ -408,8 +377,11 @@ func writeBinary(w io.Writer, msg *Message, c *Codec) error {
 	b = appendU64(b, uint64(int64(msg.LastRound)))
 	b = appendU64(b, uint64(int64(msg.RetryAfterMs)))
 	b = appendU64(b, uint64(int64(anchorRound)))
-	b = appendU32(b, uint32(len(msg.Err)))
-	b = append(b, msg.Err...)
+	b = appendU64(b, uint64(msg.QuantSeed))
+	b = appendU64(b, math.Float64bits(msg.TopK))
+	b = appendU32(b, msg.WireCaps)
+	b = appendU32(b, uint32(len(text)))
+	b = append(b, text...)
 	b = appendU32(b, uint32(len(msg.Cohort)))
 	for _, id := range msg.Cohort {
 		if id < 0 || id > math.MaxInt32 {
@@ -432,11 +404,16 @@ func writeBinary(w io.Writer, msg *Message, c *Codec) error {
 	return nil
 }
 
-// readBinary decodes one v3 binary frame into msg, reconstructing delta
-// and quantized payloads against the codec's anchors. Every length is
-// bounds-checked before it is believed, and the payload buffer grows only
-// as bytes arrive (readPayload), so corrupt frames fail cheaply.
-func readBinary(r io.Reader, msg *Message, c *Codec) error {
+// ReadMessageWith decodes one v3 frame with the session codec (nil for
+// plain binary) into msg, reusing msg's State backing array when its
+// capacity suffices; msg is reset first, so no field of a previous frame
+// leaks through. Delta and quantized payloads are reconstructed against
+// the codec's anchor states, so msg.State always carries the full absolute
+// vector on return. Every length is bounds-checked before it is believed,
+// and the payload buffer grows only as bytes arrive (readPayload), so
+// corrupt frames fail cheaply. The decoded message never aliases the
+// pooled payload.
+func ReadMessageWith(r io.Reader, msg *Message, c *Codec) error {
 	var header [4]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return fmt.Errorf("flnet: read header: %w", err)
@@ -468,16 +445,23 @@ func readBinary(r io.Reader, msg *Message, c *Codec) error {
 	msg.LastRound = int(int64(binary.LittleEndian.Uint64(payload[36:])))
 	msg.RetryAfterMs = int(int64(binary.LittleEndian.Uint64(payload[44:])))
 	anchorRound := int(int64(binary.LittleEndian.Uint64(payload[52:])))
+	msg.QuantSeed = int64(binary.LittleEndian.Uint64(payload[60:]))
+	msg.TopK = math.Float64frombits(binary.LittleEndian.Uint64(payload[68:]))
+	msg.WireCaps = binary.LittleEndian.Uint32(payload[76:])
 
 	rest := payload[fixedHeaderLen:]
-	errLen := int(binary.LittleEndian.Uint32(rest[:4]))
+	textLen := int(binary.LittleEndian.Uint32(rest[:4]))
 	rest = rest[4:]
-	if errLen < 0 || errLen > len(rest) {
-		return fmt.Errorf("flnet: error text length %d out of range", errLen)
+	if textLen < 0 || textLen > len(rest) {
+		return fmt.Errorf("flnet: text length %d out of range", textLen)
 	}
-	if errLen > 0 {
-		msg.Err = string(rest[:errLen])
-		rest = rest[errLen:]
+	if textLen > 0 {
+		if kind == KindHello {
+			msg.Job = string(rest[:textLen])
+		} else {
+			msg.Err = string(rest[:textLen])
+		}
+		rest = rest[textLen:]
 	}
 	if len(rest) < 4 {
 		return fmt.Errorf("flnet: frame truncated before cohort")
@@ -574,7 +558,7 @@ func decodeStateSection(msg *Message, sec []byte, flags byte, anchorRound int, c
 }
 
 // WireBytesTotals returns the process-lifetime wire byte counters
-// (headers included, both codecs); the wire bench and the byte-drop
+// (headers included); the wire bench and the byte-drop
 // acceptance test difference them around a federation.
 func WireBytesTotals() (tx, rx int64) {
 	return telTxBytes.Value(), telRxBytes.Value()

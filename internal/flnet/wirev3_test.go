@@ -27,7 +27,7 @@ func ringBase(m map[int][]float64) func(int) []float64 {
 }
 
 // TestBinaryRoundTrip drives every message kind through every codec
-// configuration the negotiation can produce: plain binary frames, flate
+// configuration the negotiation can produce: plain frames, flate
 // compression, raw delta broadcasts, quantized uploads (dense int8, sparse
 // top-k int16), and quantized delta broadcasts with a canonical payload.
 // Lossless paths must round-trip exactly; quantized paths must reconstruct
@@ -45,15 +45,16 @@ func TestBinaryRoundTrip(t *testing.T) {
 		caps uint32
 		msg  Message
 	}{
-		{"global/plain", CapBinary, Message{Kind: KindGlobal, Round: 4, State: testState(9, dim), Cohort: []int{0, 2, 5}}},
-		{"global/flate", CapBinary | CapFlate, Message{Kind: KindGlobal, Round: 4, State: make([]float64, dim)}},
-		{"update/plain", CapBinary, Message{Kind: KindUpdate, ClientID: 3, Round: 4, State: testState(10, dim), NumSamples: 128}},
-		{"done", CapBinary, Message{Kind: KindDone, State: testState(11, 8)}},
-		{"error", CapBinary, Message{Kind: KindError, Err: "flnet: you are quarantined"}},
-		{"drain", CapBinary, Message{Kind: KindDrain, RetryAfterMs: 750}},
-		{"hello", CapBinary, Message{Kind: KindHello, ClientID: 6, Version: ProtocolVersion, LastRound: -1}},
-		{"global/delta-raw", CapBinary | CapDelta, Message{Kind: KindGlobal, Round: 4, State: cur}},
-		{"global/delta-raw-flate", CapBinary | CapDelta | CapFlate, Message{Kind: KindGlobal, Round: 4, State: cur}},
+		{"global/plain", 0, Message{Kind: KindGlobal, Round: 4, State: testState(9, dim), Cohort: []int{0, 2, 5}}},
+		{"global/flate", CapFlate, Message{Kind: KindGlobal, Round: 4, State: make([]float64, dim)}},
+		{"update/plain", 0, Message{Kind: KindUpdate, ClientID: 3, Round: 4, State: testState(10, dim), NumSamples: 128}},
+		{"done", 0, Message{Kind: KindDone, State: testState(11, 8)}},
+		{"error", 0, Message{Kind: KindError, Err: "flnet: you are quarantined"}},
+		{"drain", 0, Message{Kind: KindDrain, RetryAfterMs: 750}},
+		{"hello", 0, Message{Kind: KindHello, ClientID: 6, Version: ProtocolVersion, LastRound: -1, WireCaps: ClientCaps, Job: "job-a"}},
+		{"wire ack", CapFlate, Message{Kind: KindWire, Version: ProtocolVersion, WireCaps: CapQuantInt16 | CapTopK, QuantSeed: 9, TopK: 0.125}},
+		{"global/delta-raw", CapDelta, Message{Kind: KindGlobal, Round: 4, State: cur}},
+		{"global/delta-raw-flate", CapDelta | CapFlate, Message{Kind: KindGlobal, Round: 4, State: cur}},
 	}
 	for _, tc := range lossless {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,9 +80,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 		caps uint32
 		topK float64
 	}{
-		{"update/int8", CapBinary | CapQuantInt8, 0},
-		{"update/int8-flate", CapBinary | CapQuantInt8 | CapFlate, 0},
-		{"update/int16-topk", CapBinary | CapQuantInt16 | CapTopK, 0.25},
+		{"update/int8", CapQuantInt8, 0},
+		{"update/int8-flate", CapQuantInt8 | CapFlate, 0},
+		{"update/int16-topk", CapQuantInt16 | CapTopK, 0.25},
 	}
 	for _, tc := range quantCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,7 +119,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 
 	t.Run("global/quant-delta-canonical", func(t *testing.T) {
-		caps := uint32(CapBinary | CapQuantInt8 | CapDelta)
+		caps := CapQuantInt8 | CapDelta
 		canon, err := fl.EncodeDelta(fl.QuantInt8, seed, -1, 4, 3, prev, cur, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -148,8 +149,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	t.Run("update/quant-fallback-without-anchor", func(t *testing.T) {
 		// A quant-capable session whose base lookup misses (e.g. first
 		// exchange after a rejoin) must fall back to a raw lossless upload.
-		enc := NewCodec(CapBinary|CapQuantInt8, seed, 0, nil)
-		dec := NewCodec(CapBinary|CapQuantInt8, seed, 0, nil)
+		enc := NewCodec(CapQuantInt8, seed, 0, nil)
+		dec := NewCodec(CapQuantInt8, seed, 0, nil)
 		msg := Message{Kind: KindUpdate, ClientID: 1, Round: 9, State: testState(21, dim), NumSamples: 8}
 		var buf bytes.Buffer
 		if err := WriteMessageWith(&buf, &msg, enc); err != nil {
@@ -163,8 +164,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	})
 
 	t.Run("global/delta-without-anchor-fails-decode", func(t *testing.T) {
-		enc := NewCodec(CapBinary|CapDelta, seed, 0, ringBase(bases))
-		dec := NewCodec(CapBinary|CapDelta, seed, 0, nil) // peer lost its anchor
+		enc := NewCodec(CapDelta, seed, 0, ringBase(bases))
+		dec := NewCodec(CapDelta, seed, 0, nil) // peer lost its anchor
 		var buf bytes.Buffer
 		if err := WriteMessageWith(&buf, &Message{Kind: KindGlobal, Round: 4, State: cur}, enc); err != nil {
 			t.Fatal(err)
@@ -183,7 +184,8 @@ func assertMessageEqual(t *testing.T, got, want *Message) {
 	if got.Kind != want.Kind || got.ClientID != want.ClientID ||
 		got.Round != want.Round || got.NumSamples != want.NumSamples ||
 		got.Version != want.Version || got.LastRound != want.LastRound ||
-		got.RetryAfterMs != want.RetryAfterMs || got.Err != want.Err {
+		got.RetryAfterMs != want.RetryAfterMs || got.Err != want.Err || got.Job != want.Job ||
+		got.WireCaps != want.WireCaps || got.QuantSeed != want.QuantSeed || got.TopK != want.TopK {
 		t.Fatalf("round trip mismatch: got %+v want %+v", *got, *want)
 	}
 	if len(got.Cohort) != len(want.Cohort) {
@@ -209,8 +211,8 @@ func assertMessageEqual(t *testing.T, got, want *Message) {
 func TestFlateActuallyCompresses(t *testing.T) {
 	const dim = 4096
 	state := make([]float64, dim) // all zeros: maximally compressible
-	plain := NewCodec(CapBinary, 0, 0, nil)
-	flated := NewCodec(CapBinary|CapFlate, 0, 0, nil)
+	var plain *Codec
+	flated := NewCodec(CapFlate, 0, 0, nil)
 	var rawBuf, zBuf bytes.Buffer
 	if err := WriteMessageWith(&rawBuf, &Message{Kind: KindGlobal, Round: 1, State: state}, plain); err != nil {
 		t.Fatal(err)
@@ -250,7 +252,7 @@ func binaryFrame(t *testing.T, msg *Message, c *Codec) []byte {
 // error (never a panic, never a giant allocation, never trailing-garbage
 // acceptance).
 func TestBinaryFrameMalformed(t *testing.T) {
-	codec := NewCodec(CapBinary, 0, 0, nil)
+	var codec *Codec
 	valid := binaryFrame(t, &Message{Kind: KindUpdate, ClientID: 2, Round: 3, State: []float64{1, 2, 3}, NumSamples: 5}, codec)
 
 	mutate := func(mut func(b []byte)) []byte {
@@ -270,16 +272,10 @@ func TestBinaryFrameMalformed(t *testing.T) {
 		{"over max length", mutate(func(b []byte) { le32(b, maxFrameBytes+1) }), "out of range"},
 		{"huge length truncated stream", mutate(func(b []byte) { le32(b, maxFrameBytes) }), "read payload"},
 		{"bad magic", mutate(func(b []byte) { b[4] = 0x99 }), "bad frame magic"},
-		{"gob frame on binary session", func() []byte {
-			var buf bytes.Buffer
-			if err := WriteMessage(&buf, &Message{Kind: KindHello, Version: ProtocolVersion}); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}(), "out of range"}, // big-endian gob length parses as a huge little-endian value
+		{"gob frame on binary session", gobHelloFrame(t, 2), "out of range"}, // big-endian gob length parses as a huge little-endian value
 		{"unknown kind", mutate(func(b []byte) { b[5] = 0xEE }), "unknown frame kind"},
-		{"error text overruns", mutate(func(b []byte) { le32(b[4+fixedHeaderLen:], 1 << 20) }), "out of range"},
-		{"cohort count overruns", mutate(func(b []byte) { le32(b[4+fixedHeaderLen+4:], 1 << 24) }), "cohort count"},
+		{"error text overruns", mutate(func(b []byte) { le32(b[4+fixedHeaderLen:], 1<<20) }), "out of range"},
+		{"cohort count overruns", mutate(func(b []byte) { le32(b[4+fixedHeaderLen+4:], 1<<24) }), "cohort count"},
 		{"stored length mismatch", mutate(func(b []byte) { le32(b[len(b)-3*8-4:], 7) }), "stored"},
 		{"truncated payload", valid[:len(valid)-2], "read payload"},
 	}
@@ -305,13 +301,12 @@ func TestNegotiateCaps(t *testing.T) {
 		want              uint32
 	}{
 		{"full match", ClientCaps, ClientCaps, ClientCaps},
-		{"gob client", ClientCaps, 0, 0},
-		{"gob server", 0, ClientCaps, 0},
-		{"flate only", CapBinary | CapFlate, ClientCaps, CapBinary | CapFlate},
-		{"no binary no extras", CapFlate | CapDelta, ClientCaps, 0},
-		{"topk without quant cleared", CapBinary | CapTopK, ClientCaps, CapBinary},
-		{"topk with quant kept", CapBinary | CapQuantInt8 | CapTopK, ClientCaps, CapBinary | CapQuantInt8 | CapTopK},
-		{"client subset", CapBinary | CapFlate | CapQuantInt16 | CapDelta, CapBinary | CapDelta, CapBinary | CapDelta},
+		{"plain client", ClientCaps, 0, 0},
+		{"plain server", 0, ClientCaps, 0},
+		{"flate only", CapFlate, ClientCaps, CapFlate},
+		{"topk without quant cleared", CapTopK | CapDelta, ClientCaps, CapDelta},
+		{"topk with quant kept", CapQuantInt8 | CapTopK, ClientCaps, CapQuantInt8 | CapTopK},
+		{"client subset", CapFlate | CapQuantInt16 | CapDelta, CapDelta, CapDelta},
 	}
 	for _, tc := range cases {
 		if got := negotiateCaps(tc.offer, tc.advertised); got != tc.want {
@@ -326,10 +321,9 @@ func TestCapsLabel(t *testing.T) {
 		caps uint32
 		want string
 	}{
-		{0, "gob"},
-		{CapBinary, "binary"},
-		{CapBinary | CapFlate, "binary+flate"},
-		{CapBinary | CapQuantInt8 | CapTopK | CapDelta, "binary+int8+topk+delta"},
+		{0, "binary"},
+		{CapFlate, "binary+flate"},
+		{CapQuantInt8 | CapTopK | CapDelta, "binary+int8+topk+delta"},
 		{ClientCaps, "binary+flate+int16+topk+delta"},
 	}
 	for _, tc := range cases {
@@ -369,8 +363,10 @@ func TestPoolsDropOversizedBuffers(t *testing.T) {
 // message or an error, never panic, and anything it accepts must survive a
 // re-encode/re-decode round trip.
 func FuzzFrame(f *testing.F) {
-	codec := NewCodec(CapBinary, 0, 0, nil)
+	var codec *Codec
 	seedMsgs := []*Message{
+		{Kind: KindHello, ClientID: 4, Version: ProtocolVersion, LastRound: 3, WireCaps: ClientCaps, Job: "purchase-b"},
+		{Kind: KindWire, Version: ProtocolVersion, WireCaps: CapFlate | CapQuantInt8 | CapTopK | CapDelta, QuantSeed: 7, TopK: 0.5},
 		{Kind: KindGlobal, Round: 2, State: []float64{1, -2, 3.5}, Cohort: []int{0, 1}},
 		{Kind: KindUpdate, ClientID: 1, Round: 2, State: []float64{0.25}, NumSamples: 9},
 		{Kind: KindError, Err: "nope"},
@@ -383,14 +379,14 @@ func FuzzFrame(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	zc := NewCodec(CapBinary|CapFlate, 0, 0, nil)
+	zc := NewCodec(CapFlate, 0, 0, nil)
 	var zbuf bytes.Buffer
 	if err := WriteMessageWith(&zbuf, &Message{Kind: KindGlobal, Round: 1, State: make([]float64, 256)}, zc); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(zbuf.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte{76, 0, 0, 0, frameMagic})
+	f.Add([]byte{minFrameLen, 0, 0, 0, frameMagic})
 	f.Add(func() []byte {
 		var b [8]byte
 		binary.LittleEndian.PutUint32(b[:4], maxFrameBytes)
@@ -418,7 +414,9 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if again.Kind != msg.Kind || again.ClientID != msg.ClientID || again.Round != msg.Round ||
-			again.NumSamples != msg.NumSamples || again.Err != msg.Err || len(again.State) != len(msg.State) {
+			again.NumSamples != msg.NumSamples || again.Err != msg.Err || again.Job != msg.Job ||
+			again.WireCaps != msg.WireCaps || again.QuantSeed != msg.QuantSeed ||
+			math.Float64bits(again.TopK) != math.Float64bits(msg.TopK) || len(again.State) != len(msg.State) {
 			t.Fatalf("round trip changed message: %+v vs %+v", again, msg)
 		}
 		for i := range msg.State {

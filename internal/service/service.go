@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,10 +41,6 @@ var ErrJobNotFound = errors.New("service: job not found")
 
 // ErrJobExists is returned by CreateJob for a duplicate job name.
 var ErrJobExists = errors.New("service: job already exists")
-
-// maxHelloBytes bounds the first frame the front door will buffer while
-// routing. A Hello carries no model state; 64 KiB is generous.
-const maxHelloBytes = 64 << 10
 
 // Options configures a Service.
 type Options struct {
@@ -91,6 +86,9 @@ type Service struct {
 	jobs   map[string]*Job
 	order  []string // creation order, for stable listings and exposition
 	closed bool
+	// persistMu serializes manifest writes; markClosed takes it, so no
+	// write is still touching the state directory once Close returns.
+	persistMu sync.Mutex
 
 	acceptDone chan struct{}
 	routeWG    sync.WaitGroup
@@ -179,6 +177,8 @@ func (s *Service) manifestPath() string {
 // (temp + rename), so a crash mid-write leaves the previous manifest
 // intact.
 func (s *Service) persistManifest() {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	s.mu.Lock()
 	doc := manifestDoc{Jobs: make([]manifestJob, 0, len(s.order))}
 	for _, name := range s.order {
@@ -437,31 +437,6 @@ func (s *Service) acceptLoop() {
 	}
 }
 
-// readHelloFrame buffers the connection's first frame verbatim (the
-// framing is length-prefixed, so exactly 4+N bytes are consumed — no
-// decoder over-read) and decodes it. The raw bytes are replayed to the
-// job so its flnet server sees an untouched stream.
-func readHelloFrame(conn net.Conn) (raw []byte, msg *flnet.Message, err error) {
-	var header [4]byte
-	if _, err := io.ReadFull(conn, header[:]); err != nil {
-		return nil, nil, err
-	}
-	n := binary.BigEndian.Uint32(header[:])
-	if n == 0 || n > maxHelloBytes {
-		return nil, nil, fmt.Errorf("service: hello frame of %d bytes", n)
-	}
-	raw = make([]byte, 4+int(n))
-	copy(raw, header[:])
-	if _, err := io.ReadFull(conn, raw[4:]); err != nil {
-		return nil, nil, err
-	}
-	msg, err = flnet.ReadMessage(bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, msg, nil
-}
-
 // reject answers a connection the service will not route and closes it.
 func (s *Service) reject(conn net.Conn, msg *flnet.Message) {
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
@@ -476,7 +451,7 @@ func (s *Service) reject(conn net.Conn, msg *flnet.Message) {
 func (s *Service) route(conn net.Conn) {
 	defer s.routeWG.Done()
 	conn.SetReadDeadline(time.Now().Add(s.opts.HelloTimeout)) //nolint:errcheck
-	raw, hello, err := readHelloFrame(conn)
+	raw, hello, err := flnet.ReadHello(conn)
 	if err != nil {
 		telRouteRejected.Inc()
 		conn.Close()
@@ -631,6 +606,8 @@ func (s *Service) Close() error {
 }
 
 func (s *Service) markClosed() {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()

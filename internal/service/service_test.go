@@ -279,10 +279,13 @@ func TestServiceRollingRestart(t *testing.T) {
 			defer wg.Done()
 			// The restart gap burns retries without progress ("not
 			// accepting" rejections while the job re-adopts), so the
-			// budget is far above the default.
+			// budget is far above the default. Think time keeps each
+			// round slower than the status polling below, so the restart
+			// lands mid-federation instead of after the last round.
 			fleet := &fleetsim.Fleet{
 				N: spec.Clients, Dim: jobDim(spec), Seed: spec.Seed, Job: spec.Name,
 				Dial: dial, MaxRetries: 500,
+				DelaySeed: spec.Seed, MaxDelay: 20 * time.Millisecond,
 			}
 			stats := fleet.Run(ctx)
 			if got := stats.Done.Load(); got != int64(spec.Clients) {
@@ -577,10 +580,13 @@ func TestPauseResume(t *testing.T) {
 		defer wg.Done()
 		// The fleet keeps redialing across the pause window; drain notices
 		// and unknown-state rejections both end sessions without progress,
-		// so give it a generous retry budget.
+		// so give it a generous retry budget. Think time keeps each round
+		// slower than the status polling below, so the pause lands
+		// mid-federation instead of after the last round.
 		fleet := &fleetsim.Fleet{
 			N: spec.Clients, Dim: jobDim(spec), Seed: spec.Seed, Job: spec.Name,
 			Dial: mem.Dial, MaxRetries: 200,
+			DelaySeed: spec.Seed, MaxDelay: 20 * time.Millisecond,
 		}
 		stats := fleet.Run(ctx)
 		if got := stats.Done.Load(); got != int64(spec.Clients) {

@@ -37,8 +37,6 @@ func TestValidateRejections(t *testing.T) {
 		{"min_clients beyond sample_size", func(s *JobSpec) { s.SampleSize = 2; s.MinClients = 3 }, "min_clients", "conflict"},
 		{"negative deadline", func(s *JobSpec) { s.RoundDeadlineMs = -1 }, "round_deadline_ms", "invalid"},
 		{"negative staleness", func(s *JobSpec) { s.AsyncStaleness = -1 }, "async_staleness", "invalid"},
-		{"unknown wire", func(s *JobSpec) { s.Wire = "carrier-pigeon" }, "wire", "invalid"},
-		{"gob with codecs", func(s *JobSpec) { s.Wire = "gob"; s.Compress = true }, "wire", "conflict"},
 		{"unknown quantize", func(s *JobSpec) { s.Quantize = "int4" }, "quantize", "invalid"},
 		{"topk out of range", func(s *JobSpec) { s.Quantize = "int8"; s.TopK = 1.5 }, "topk", "invalid"},
 		{"topk without quantize", func(s *JobSpec) { s.TopK = 0.1 }, "topk", "conflict"},
@@ -86,6 +84,12 @@ func TestDecodeJobSpecStrict(t *testing.T) {
 		t.Fatal("unknown field accepted")
 	} else if !strings.Contains(err.Error(), "unknown_field") {
 		t.Fatalf("unknown field not typed as unknown_field: %v", err)
+	}
+	// A spec choosing a wire format is refused, not silently run on
+	// binary frames.
+	if _, err := DecodeJobSpec(strings.NewReader(`{"name":"a","dataset":"d","clients":2,"rounds":1,"wire":"gob"}`)); err == nil ||
+		!strings.Contains(err.Error(), "unknown_field") {
+		t.Fatalf("spec with a wire field: %v, want an unknown_field error", err)
 	}
 	if _, err := DecodeJobSpec(strings.NewReader(`{"name":"a"} {"name":"b"}`)); err == nil {
 		t.Fatal("trailing document accepted")
