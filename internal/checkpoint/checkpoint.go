@@ -5,8 +5,9 @@
 // cost the client its personalization (θᵖ* is never on the server, by
 // design).
 //
-// Format v2 (current) is a CRC32-checksummed binary envelope around a gob
-// payload; v1 files (bare gob) are still readable. The file helpers write
+// Format v2 is a CRC32-checksummed binary envelope around a gob payload,
+// and the only format read; v1 files (bare gob) are refused as corrupt.
+// The file helpers write
 // durably — fsync on the file and its parent directory around the atomic
 // rename — and chain generations: every save rotates the previous newest
 // file into a ".g<generation>" sibling, retaining the last DefaultRetain
@@ -15,7 +16,6 @@
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -25,9 +25,6 @@ import (
 
 // FormatVersion is the current on-disk format version.
 const FormatVersion = 2
-
-// legacyVersion is the pre-envelope gob-only format, still readable.
-const legacyVersion = 1
 
 // QuarantineState checkpoints the Byzantine update screen so quarantine
 // penalties and offense counts survive a server restart (a poisoner must
@@ -48,7 +45,7 @@ type Snapshot struct {
 	// Version is the format version (set by Save).
 	Version int
 	// Generation is the position in the checkpoint chain (set by SaveFile;
-	// 0 for stream saves and legacy files).
+	// 0 for stream saves).
 	Generation uint64
 	// Dataset names the dataset/model configuration the state belongs to.
 	Dataset string
@@ -57,7 +54,7 @@ type Snapshot struct {
 	// State is the global model state vector.
 	State []float64
 	// Quarantine is the update screen's reputation state at Round, nil
-	// when screening is disabled (and in legacy v1 files).
+	// when screening is disabled.
 	Quarantine *QuarantineState
 
 	// SampleSeed and SampleSize record the per-round client-sampling
@@ -130,12 +127,12 @@ func encodeSnapshot(s *Snapshot, gen uint64) ([]byte, error) {
 }
 
 // decodeSnapshot decodes and validates a gob snapshot payload.
-func decodeSnapshot(r io.Reader, wantVersion int) (*Snapshot, error) {
+func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode: %w", err)
 	}
-	if s.Version != wantVersion {
+	if s.Version != FormatVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", s.Version)
 	}
 	if len(s.State) == 0 {
@@ -157,22 +154,13 @@ func Save(w io.Writer, s *Snapshot) error {
 	return writeEnvelope(w, kindSnapshot, gen, payload)
 }
 
-// Load reads a snapshot from r: a v2 envelope (CRC-verified) or a legacy
-// v1 bare-gob stream.
+// Load reads a CRC-verified v2 snapshot envelope from r.
 func Load(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	head, isV2, err := sniffMagic(br)
+	gen, payload, err := readEnvelope(r, kindSnapshot)
 	if err != nil {
 		return nil, err
 	}
-	if !isV2 {
-		return decodeSnapshot(io.MultiReader(bytes.NewReader(head[:]), br), legacyVersion)
-	}
-	gen, payload, err := readEnvelope(head, br, kindSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	s, err := decodeSnapshot(bytes.NewReader(payload), FormatVersion)
+	s, err := decodeSnapshot(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -185,45 +173,35 @@ func Load(r io.Reader) (*Snapshot, error) {
 // previous newest generation into a ".g<gen>" sibling and retaining the
 // last DefaultRetain generations.
 func SaveFile(path string, s *Snapshot) error {
-	return SaveFileRetain(path, s, DefaultRetain)
-}
-
-// SaveFileRetain is SaveFile with an explicit generation-retention count
-// (minimum 1: only the head file is kept).
-func SaveFileRetain(path string, s *Snapshot, retain int) error {
-	return saveChain(path, kindSnapshot, retain, func(gen uint64) ([]byte, error) {
+	return saveChain(path, kindSnapshot, func(gen uint64) ([]byte, error) {
 		return encodeSnapshot(s, gen)
 	})
 }
 
-// LoadFile reads the snapshot at path (either format).
-func LoadFile(path string) (*Snapshot, error) {
+// LoadFile reads the snapshot at path.
+func LoadFile(path string) (*Snapshot, error) { return loadFile(path, Load) }
+
+// loadFile reads the file at path with load.
+func loadFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+		var zero T
+		return zero, fmt.Errorf("checkpoint: %w", err)
 	}
 	defer f.Close()
-	return Load(f)
+	return load(f)
 }
 
 // LoadLatestValid walks the checkpoint chain at path newest-first and
 // returns the first snapshot that decodes and CRC-verifies, plus the paths
 // of corrupt files skipped on the way. A missing chain reports
 // os.ErrNotExist; a chain with no intact generation reports every failure.
-func LoadLatestValid(path string) (*Snapshot, []string, error) {
-	var snap *Snapshot
-	skipped, err := loadLatestValid(path, func(cand string) error {
-		s, derr := LoadFile(cand)
-		if derr != nil {
-			return derr
-		}
-		snap = s
-		return nil
+func LoadLatestValid(path string) (snap *Snapshot, skipped []string, err error) {
+	skipped, err = loadLatestValid(path, func(cand string) (derr error) {
+		snap, derr = LoadFile(cand)
+		return derr
 	})
-	if err != nil {
-		return nil, skipped, err
-	}
-	return snap, skipped, nil
+	return snap, skipped, err
 }
 
 // PrivateLayers is a client-side checkpoint of DINAR's private-layer store
@@ -232,12 +210,11 @@ type PrivateLayers struct {
 	// Version is the format version (set by SavePrivate).
 	Version int
 	// Generation is the position in the checkpoint chain (set by
-	// SavePrivateFile; 0 for stream saves and legacy files).
+	// SavePrivateFile; 0 for stream saves).
 	Generation uint64
 	// ClientID identifies the owning client.
 	ClientID int
-	// Round is the last round the stored layers belong to (0 in legacy
-	// files).
+	// Round is the last round the stored layers belong to.
 	Round int
 	// Layers maps logical layer index to the stored parameters.
 	Layers map[int][]float64
@@ -259,12 +236,12 @@ func encodePrivate(p *PrivateLayers, gen uint64) ([]byte, error) {
 }
 
 // decodePrivate decodes and validates a gob private-store payload.
-func decodePrivate(r io.Reader, wantVersion int) (*PrivateLayers, error) {
+func decodePrivate(payload []byte) (*PrivateLayers, error) {
 	var p PrivateLayers
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode private store: %w", err)
 	}
-	if p.Version != wantVersion {
+	if p.Version != FormatVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", p.Version)
 	}
 	if len(p.Layers) == 0 {
@@ -286,21 +263,13 @@ func SavePrivate(w io.Writer, p *PrivateLayers) error {
 	return writeEnvelope(w, kindPrivate, gen, payload)
 }
 
-// LoadPrivate reads a private-layer store from r (either format).
+// LoadPrivate reads a CRC-verified v2 private-store envelope from r.
 func LoadPrivate(r io.Reader) (*PrivateLayers, error) {
-	br := bufio.NewReader(r)
-	head, isV2, err := sniffMagic(br)
+	gen, payload, err := readEnvelope(r, kindPrivate)
 	if err != nil {
 		return nil, err
 	}
-	if !isV2 {
-		return decodePrivate(io.MultiReader(bytes.NewReader(head[:]), br), legacyVersion)
-	}
-	gen, payload, err := readEnvelope(head, br, kindPrivate)
-	if err != nil {
-		return nil, err
-	}
-	p, err := decodePrivate(bytes.NewReader(payload), FormatVersion)
+	p, err := decodePrivate(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -311,46 +280,20 @@ func LoadPrivate(r io.Reader) (*PrivateLayers, error) {
 // SavePrivateFile writes a private-layer store durably at the head of the
 // chain at path, like SaveFile.
 func SavePrivateFile(path string, p *PrivateLayers) error {
-	return SavePrivateFileRetain(path, p, DefaultRetain)
-}
-
-// SavePrivateFileRetain is SavePrivateFile with an explicit retention count.
-func SavePrivateFileRetain(path string, p *PrivateLayers, retain int) error {
-	return saveChain(path, kindPrivate, retain, func(gen uint64) ([]byte, error) {
+	return saveChain(path, kindPrivate, func(gen uint64) ([]byte, error) {
 		return encodePrivate(p, gen)
 	})
 }
 
-// LoadPrivateFile reads the private-layer store at path (either format).
-func LoadPrivateFile(path string) (*PrivateLayers, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return LoadPrivate(f)
-}
+// LoadPrivateFile reads the private-layer store at path.
+func LoadPrivateFile(path string) (*PrivateLayers, error) { return loadFile(path, LoadPrivate) }
 
 // LoadLatestValidPrivate walks the private-store chain at path newest-first
 // like LoadLatestValid.
-func LoadLatestValidPrivate(path string) (*PrivateLayers, []string, error) {
-	var priv *PrivateLayers
-	skipped, err := loadLatestValid(path, func(cand string) error {
-		p, derr := LoadPrivateFile(cand)
-		if derr != nil {
-			return derr
-		}
-		priv = p
-		return nil
+func LoadLatestValidPrivate(path string) (priv *PrivateLayers, skipped []string, err error) {
+	skipped, err = loadLatestValid(path, func(cand string) (derr error) {
+		priv, derr = LoadPrivateFile(cand)
+		return derr
 	})
-	if err != nil {
-		return nil, skipped, err
-	}
-	return priv, skipped, nil
-}
-
-// encodeRaw gob-encodes v without normalizing the version field; it exists
-// so tests can construct snapshots with arbitrary versions.
-func encodeRaw(w io.Writer, v interface{}) error {
-	return gob.NewEncoder(w).Encode(v)
+	return priv, skipped, err
 }

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,27 +43,31 @@ func TestSnapshotValidation(t *testing.T) {
 }
 
 func TestSnapshotVersionCheck(t *testing.T) {
-	s := &Snapshot{Dataset: "d", Round: 1, State: []float64{1}}
-	var buf bytes.Buffer
-	if err := Save(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	// Re-encode with a bogus version by decoding and tweaking.
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded.Version = 99
-	var buf2 bytes.Buffer
-	// Save overwrites Version, so hand-encode via a copy through gob is not
-	// possible here; instead verify Load's guard using a manual envelope.
+	// Save always stamps FormatVersion, so hand-build an envelope whose
+	// CRC-valid payload claims version 99.
 	type raw Snapshot
-	r := raw(*loaded)
-	if err := encodeRaw(&buf2, &r); err != nil {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&raw{Version: 99, Dataset: "d", Round: 1, State: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf2); err == nil {
+	var buf bytes.Buffer
+	if err := writeEnvelope(&buf, kindSnapshot, 0, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
 		t.Fatal("accepted unknown version")
+	}
+}
+
+// TestBareGobRejected pins the end of the v1 format: a bare-gob snapshot
+// is refused as corrupt instead of decoded.
+func TestBareGobRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&Snapshot{Version: 1, Dataset: "d", Round: 1, State: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bare gob snapshot: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -75,9 +75,12 @@ func writeEnvelope(w io.Writer, kind byte, gen uint64, payload []byte) error {
 }
 
 // readEnvelope parses one v2 envelope of the wanted kind, verifying the CRC
-// before the payload reaches any decoder. head is the already-consumed
-// 4-byte prefix (the magic), so callers can sniff legacy files first.
-func readEnvelope(head [4]byte, r io.Reader, wantKind byte) (gen uint64, payload []byte, err error) {
+// before the payload reaches any decoder.
+func readEnvelope(r io.Reader, wantKind byte) (gen uint64, payload []byte, err error) {
+	var head [4]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return 0, nil, fmt.Errorf("checkpoint: read: %w", err)
+	}
 	if string(head[:]) != envMagic {
 		return 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, head[:])
 	}
@@ -111,15 +114,6 @@ func readEnvelope(head [4]byte, r io.Reader, wantKind byte) (gen uint64, payload
 		return 0, nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
 	}
 	return gen, payload, nil
-}
-
-// sniffMagic reads the first 4 bytes of r and reports whether they are the
-// v2 magic. The bytes are returned so legacy decoding can replay them.
-func sniffMagic(r io.Reader) (head [4]byte, isV2 bool, err error) {
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return head, false, fmt.Errorf("checkpoint: read: %w", err)
-	}
-	return head, string(head[:]) == envMagic, nil
 }
 
 // --- durable file plumbing ---------------------------------------------
@@ -192,24 +186,21 @@ func generationOf(path, name string) (uint64, bool) {
 }
 
 // headerGen reads just the envelope header of path and returns its
-// generation; ok is false for missing, legacy (v1), or corrupt-header files.
+// generation; ok is false for missing or unreadable-header files.
 func headerGen(path string, wantKind byte) (uint64, bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false
 	}
 	defer f.Close()
-	if _, isV2, err := sniffMagic(f); err != nil || !isV2 {
+	var hdr [envHeaderSize]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return 0, false
 	}
-	var rest [envHeaderSize - 4]byte
-	if _, err := io.ReadFull(f, rest[:]); err != nil {
+	if string(hdr[:4]) != envMagic || hdr[4] != FormatVersion || hdr[5] != wantKind {
 		return 0, false
 	}
-	if rest[0] != FormatVersion || rest[1] != wantKind {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(rest[2:10]), true
+	return binary.BigEndian.Uint64(hdr[6:14]), true
 }
 
 // siblingGenerations lists the generation numbers of retained ".g<gen>"
@@ -249,12 +240,9 @@ func nextGeneration(path string, kind byte) uint64 {
 
 // saveChain writes one new generation at the head of the chain: the
 // previous head is rotated into its ".g<gen>" sibling, the new envelope is
-// written durably, and generations beyond retain are pruned. encode
-// receives the chosen generation so the payload can embed it.
-func saveChain(path string, kind byte, retain int, encode func(gen uint64) ([]byte, error)) error {
-	if retain < 1 {
-		retain = DefaultRetain
-	}
+// written durably, and generations beyond DefaultRetain are pruned.
+// encode receives the chosen generation so the payload can embed it.
+func saveChain(path string, kind byte, encode func(gen uint64) ([]byte, error)) error {
 	gen := nextGeneration(path, kind)
 	payload, err := encode(gen)
 	if err != nil {
@@ -265,21 +253,21 @@ func saveChain(path string, kind byte, retain int, encode func(gen uint64) ([]by
 		return err
 	}
 	// Rotate the previous head so it survives as a fallback generation. A
-	// legacy or corrupt head (no readable generation) is preserved under
-	// gen-1 rather than overwritten.
+	// corrupt head (no readable generation) is preserved under gen-1 rather
+	// than overwritten.
 	if prevGen, ok := headerGen(path, kind); ok {
 		if err := os.Rename(path, genPath(path, prevGen)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("checkpoint: rotate: %w", err)
 		}
 	} else if _, err := os.Stat(path); err == nil {
 		if err := os.Rename(path, genPath(path, gen-1)); err != nil {
-			return fmt.Errorf("checkpoint: rotate legacy: %w", err)
+			return fmt.Errorf("checkpoint: rotate unreadable head: %w", err)
 		}
 	}
 	if err := writeDurable(path, buf.Bytes()); err != nil {
 		return err
 	}
-	pruneGenerations(path, retain)
+	pruneGenerations(path, DefaultRetain)
 	return nil
 }
 

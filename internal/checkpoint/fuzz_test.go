@@ -8,12 +8,12 @@ import (
 )
 
 // FuzzEnvelope throws arbitrary bytes at the v2 envelope reader (via the
-// snapshot Load path, which also exercises the legacy-gob sniffing). The
+// snapshot Load path). The
 // invariants: no input panics the decoder; any input whose CRC does not
 // match its payload is rejected; and a well-formed envelope around a valid
 // payload round-trips.
 func FuzzEnvelope(f *testing.F) {
-	// Seed with a valid envelope, a legacy file, and assorted near-misses.
+	// Seed with a valid envelope and assorted near-misses.
 	var valid bytes.Buffer
 	if err := Save(&valid, &Snapshot{Dataset: "purchase100", Round: 3, State: []float64{1, 2}}); err != nil {
 		f.Fatal(err)

@@ -167,8 +167,8 @@ func (r *RobustDefense) Aggregate(_ int, prevGlobal []float64, updates []*Update
 // — see StreamingNormBound for how its calibration differs from the
 // materialized same-round median), while the median, trimmed-mean, and
 // Krum-family rules order or score the whole cohort at once and so declare
-// themselves non-streaming (nil) — the server falls back to materialized
-// aggregation with a telemetry warning.
+// themselves non-streaming (nil) — the server buffers those rounds for
+// Aggregate, and flnet warns when streaming was requested.
 func (r *RobustDefense) StreamingAggregator() StreamingAggregator {
 	if r.Rule == RuleNormBound {
 		return NewStreamingNormBound(r.NormMultiple)

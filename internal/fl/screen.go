@@ -3,16 +3,16 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
 // The screen is the update validation stage every round passes through
 // before the defense's aggregation rule runs: structurally invalid or
 // non-finite updates are rejected outright, over-norm updates are clipped
-// or rejected against a running median-of-norms bound, and repeat offenders
-// are quarantined — their updates are excluded for a fixed number of rounds
-// even if they reconnect under the fault-tolerance path.
+// or rejected against a median-of-norms bound fixed from earlier rounds,
+// and repeat offenders are quarantined — their updates are excluded for a
+// fixed number of rounds even if they reconnect under the fault-tolerance
+// path.
 
 // ScreenConfig configures the update screen. The zero value is a useful
 // default: reject non-finite updates, no norm clipping, quarantine after
@@ -22,8 +22,8 @@ type ScreenConfig struct {
 	// NaN coordinate corrupts FedAvg and misorders sort-based rules.
 	AllowNonFinite bool
 	// ClipNorms enables delta-norm validation: each update's L2 distance to
-	// the round's starting global state is compared against a running
-	// median of recently accepted norms. Off by default because defenses
+	// the round's starting global state is compared against a median of
+	// the norms accepted in earlier rounds. Off by default because defenses
 	// with legitimately outsized uploads (secure aggregation's masked
 	// states) must not be clipped.
 	ClipNorms bool
@@ -113,8 +113,9 @@ type Screen struct {
 	tel *Metrics
 
 	mu sync.Mutex
-	// norms is the ring of recently accepted delta norms.
-	norms []float64
+	// norms backs the clip and reject bounds; they come from completed
+	// rounds only, so they stay fixed for the whole of a round.
+	norms normWindow
 	// offenses counts rejected updates per client.
 	offenses map[int]int
 	// blockedUntil maps a quarantined client to the last round (inclusive)
@@ -124,8 +125,10 @@ type Screen struct {
 
 // NewScreen builds a screen from cfg (zero value: defaults).
 func NewScreen(cfg ScreenConfig) *Screen {
+	cfg = cfg.withDefaults()
 	return &Screen{
-		cfg:          cfg.withDefaults(),
+		cfg:          cfg,
+		norms:        normWindow{size: cfg.HistoryWindow, minHistory: cfg.MinHistory},
 		tel:          defaultMetrics,
 		offenses:     make(map[int]int),
 		blockedUntil: make(map[int]int),
@@ -165,27 +168,19 @@ func (s *Screen) Offenses(clientID int) int {
 	return s.offenses[clientID]
 }
 
-// medianNorm returns the running median of accepted norms; ok is false
-// until MinHistory norms are recorded. Callers hold s.mu.
-func (s *Screen) medianNorm() (float64, bool) {
-	if len(s.norms) < s.cfg.MinHistory {
-		return 0, false
-	}
-	sorted := append([]float64(nil), s.norms...)
-	sort.Float64s(sorted)
-	med := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		med = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	return med, med > 0
+// commitRound moves the finished round's accepted norms into the window.
+func (s *Screen) commitRound() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.norms.commit()
 }
 
-// recordNorm pushes an accepted norm into the ring. Callers hold s.mu.
-func (s *Screen) recordNorm(norm float64) {
-	s.norms = append(s.norms, norm)
-	if len(s.norms) > s.cfg.HistoryWindow {
-		s.norms = s.norms[len(s.norms)-s.cfg.HistoryWindow:]
-	}
+// abortRound drops the abandoned round's accepted norms. Offenses booked
+// during the round stick.
+func (s *Screen) abortRound() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.norms.abort()
 }
 
 // reject books an offense for clientID at round and starts a quarantine
@@ -225,7 +220,7 @@ func (s *Screen) ExportState() ScreenState {
 	st := ScreenState{
 		Offenses:     make(map[int]int, len(s.offenses)),
 		BlockedUntil: make(map[int]int, len(s.blockedUntil)),
-		Norms:        append([]float64(nil), s.norms...),
+		Norms:        append([]float64(nil), s.norms.norms...),
 	}
 	for id, n := range s.offenses {
 		st.Offenses[id] = n
@@ -249,72 +244,57 @@ func (s *Screen) ImportState(st ScreenState) {
 	for id, until := range st.BlockedUntil {
 		s.blockedUntil[id] = until
 	}
-	s.norms = append(s.norms[:0], st.Norms...)
+	s.norms.load(st.Norms)
 }
 
-// Apply screens one round's updates against prevGlobal (the state the
-// round started from) and returns the survivors plus the verdict report.
-// Input updates are never mutated; clipped updates are copies.
+// Apply screens one whole round's updates against prevGlobal (the state
+// the round started from), commits the round's accepted norms, and returns
+// the survivors plus the verdict report. Input updates are never mutated;
+// clipped updates are copies.
 func (s *Screen) Apply(round int, prevGlobal []float64, updates []*Update) ([]*Update, ScreenReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	report := ScreenReport{Round: round}
 	kept := make([]*Update, 0, len(updates))
 	for _, u := range updates {
-		if su, ok := s.applyOne(&report, round, prevGlobal, u); ok {
+		if su, verdict := s.applyOne(&report, round, prevGlobal, u); verdict < OfferRejected {
 			kept = append(kept, su)
 		}
 	}
-	s.tel.ScreenAccepted.Add(int64(len(report.Accepted)))
-	s.tel.ScreenRejected.Add(int64(len(report.Rejected)))
-	s.tel.ScreenClipped.Add(int64(len(report.Clipped)))
-	s.tel.ScreenQuarantined.Add(int64(len(report.Quarantined)))
-	s.updateOccupancy(round)
+	s.commitRound()
 	return kept, report
 }
 
-// ApplyOne screens a single update as it arrives — the streaming
-// aggregation path issues its verdict per arrival, before the update is
-// folded and its buffer released. The verdict is appended to report (the
-// round's running report, owned by the caller); the returned update is the
-// one to fold (a scaled copy when clipped) and ok reports survival.
-// Equivalent to Apply over a one-update batch: folding N arrivals through
-// ApplyOne books the same verdicts, offenses, and telemetry as one Apply
-// over the same N updates.
-func (s *Screen) ApplyOne(report *ScreenReport, round int, prevGlobal []float64, u *Update) (*Update, bool) {
+// applyOne screens a single update as it arrives: the verdict is returned
+// and appended to report (the round's running report, owned by the
+// caller), and the returned update is the one to aggregate (a scaled copy
+// when clipped, nil when dropped). Every bound comes from rounds before
+// this one, so a round's verdicts do not depend on the order its updates
+// arrive in.
+func (s *Screen) applyOne(report *ScreenReport, round int, prevGlobal []float64, u *Update) (*Update, OfferVerdict) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	before := [4]int{len(report.Accepted), len(report.Rejected), len(report.Clipped), len(report.Quarantined)}
-	su, ok := s.applyOne(report, round, prevGlobal, u)
-	s.tel.ScreenAccepted.Add(int64(len(report.Accepted) - before[0]))
-	s.tel.ScreenRejected.Add(int64(len(report.Rejected) - before[1]))
-	s.tel.ScreenClipped.Add(int64(len(report.Clipped) - before[2]))
-	s.tel.ScreenQuarantined.Add(int64(len(report.Quarantined) - before[3]))
-	s.updateOccupancy(round)
-	return su, ok
-}
-
-// applyOne issues one update's verdict into report and returns the
-// survivor (a clipped copy when norm-bounded). Callers hold s.mu.
-func (s *Screen) applyOne(report *ScreenReport, round int, prevGlobal []float64, u *Update) (*Update, bool) {
+	defer s.updateOccupancy(round)
 	if s.quarantined(u.ClientID, round) {
 		report.Quarantined = append(report.Quarantined, u.ClientID)
-		return nil, false
+		s.tel.ScreenQuarantined.Inc()
+		return nil, OfferQuarantined
 	}
 	if reason := s.validate(prevGlobal, u); reason != "" {
 		report.Rejected = append(report.Rejected, ScreenVerdict{ClientID: u.ClientID, Reason: reason})
+		s.tel.ScreenRejected.Inc()
 		if s.reject(u.ClientID, round) {
 			report.NewlyQuarantined = append(report.NewlyQuarantined, u.ClientID)
 		}
-		return nil, false
+		return nil, OfferRejected
 	}
 	su, clipped := s.clip(prevGlobal, u)
+	report.Accepted = append(report.Accepted, su.ClientID)
+	s.tel.ScreenAccepted.Inc()
 	if clipped {
 		report.Clipped = append(report.Clipped, su.ClientID)
+		s.tel.ScreenClipped.Inc()
+		return su, OfferClipped
 	}
-	report.Accepted = append(report.Accepted, su.ClientID)
-	return su, true
+	return su, OfferAccepted
 }
 
 // updateOccupancy refreshes the quarantine-occupancy gauge. Callers hold
@@ -346,7 +326,7 @@ func (s *Screen) validate(prevGlobal []float64, u *Update) string {
 		}
 	}
 	if s.cfg.ClipNorms {
-		if med, ok := s.medianNorm(); ok {
+		if med, ok := s.norms.median(); ok {
 			if norm := DeltaNorm(prevGlobal, u.State); norm > s.cfg.RejectMultiple*med {
 				return fmt.Sprintf("delta norm %.4g exceeds reject bound %.4g", norm, s.cfg.RejectMultiple*med)
 			}
@@ -356,16 +336,16 @@ func (s *Screen) validate(prevGlobal []float64, u *Update) string {
 }
 
 // clip applies the norm bound to an accepted update, returning a scaled
-// copy when the delta exceeds the bound, and records the accepted norm.
-// Callers hold s.mu.
+// copy when the delta exceeds the bound, and holds the accepted norm for
+// the round's commit. Callers hold s.mu.
 func (s *Screen) clip(prevGlobal []float64, u *Update) (*Update, bool) {
 	if !s.cfg.ClipNorms {
 		return u, false
 	}
 	norm := DeltaNorm(prevGlobal, u.State)
-	med, ok := s.medianNorm()
+	med, ok := s.norms.median()
 	if !ok || norm <= s.cfg.NormMultiple*med {
-		s.recordNorm(norm)
+		s.norms.add(norm)
 		return u, false
 	}
 	bound := s.cfg.NormMultiple * med
@@ -376,6 +356,6 @@ func (s *Screen) clip(prevGlobal []float64, u *Update) (*Update, bool) {
 	}
 	cu := *u
 	cu.State = state
-	s.recordNorm(bound)
+	s.norms.add(bound)
 	return &cu, true
 }

@@ -177,6 +177,63 @@ func TestScreenClipNorms(t *testing.T) {
 	}
 }
 
+// TestScreenClipVerdictsIndependentOfArrivalOrder pins the screen's norm
+// bound to earlier rounds: after calibrating on norms {1, 3} (median 2,
+// clip bound 4), deltas of norm 4 and 5 must get the same verdicts — and
+// the same aggregate — in either arrival order. A bound that moved with
+// each accepted norm clipped client 1 only when it arrived first.
+func TestScreenClipVerdictsIndependentOfArrivalOrder(t *testing.T) {
+	run := func(order []int) ([]float64, []int) {
+		srv, err := NewServer([]float64{0, 0}, &fedAvgDefense{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetScreen(NewScreen(ScreenConfig{ClipNorms: true, MinHistory: 2, NormMultiple: 2, RejectMultiple: 4}))
+		offer := func(ups []*Update) {
+			t.Helper()
+			if err := srv.BeginRound(NewStreamingFedAvg()); err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range ups {
+				if _, err := srv.Offer(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.FinishRound(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Calibration: norms 1 and 3 from the origin; the global becomes [2 0].
+		offer([]*Update{
+			{ClientID: 0, State: []float64{1, 0}, NumSamples: 1},
+			{ClientID: 1, State: []float64{3, 0}, NumSamples: 1},
+		})
+		round := []*Update{
+			{ClientID: 0, State: []float64{6, 0}, NumSamples: 1}, // delta norm 4
+			{ClientID: 1, State: []float64{7, 0}, NumSamples: 1}, // delta norm 5
+		}
+		ordered := make([]*Update, len(order))
+		for i, id := range order {
+			ordered[i] = round[id]
+		}
+		offer(ordered)
+		rep, _ := srv.LastScreenReport()
+		return srv.GlobalState(), rep.Clipped
+	}
+
+	forward, clippedF := run([]int{0, 1})
+	backward, clippedB := run([]int{1, 0})
+	if forward[0] != backward[0] || forward[1] != backward[1] {
+		t.Fatalf("arrival order changed the aggregate: %v (0,1) vs %v (1,0)", forward, backward)
+	}
+	if len(clippedF) != 1 || len(clippedB) != 1 || clippedF[0] != 1 || clippedB[0] != 1 {
+		t.Fatalf("clipped clients %v (0,1) vs %v (1,0), want [1] in both", clippedF, clippedB)
+	}
+	if forward[0] != 6 || forward[1] != 0 {
+		t.Fatalf("global = %v, want [6 0] (client 1 clipped to the round's bound 4)", forward)
+	}
+}
+
 func TestServerAggregateWithScreen(t *testing.T) {
 	srv, err := NewServer([]float64{0, 0}, &noneDefense{}, nil)
 	if err != nil {

@@ -8,7 +8,9 @@ import (
 )
 
 // Server is the FL aggregation server. It owns the global model state vector
-// and applies the defense's server-side aggregation rule each round.
+// and applies the defense's server-side aggregation rule each round, through
+// one pipeline: BeginRound arms a round, Offer screens and folds one update,
+// and FinishRound (or AbortRound) closes it.
 type Server struct {
 	state []float64
 	def   Defense
@@ -19,14 +21,17 @@ type Server struct {
 	screen        *Screen
 	screenReports []ScreenReport
 	lastTiming    AggTiming
+	release       func(state []float64)
 
-	// Streaming round state (BeginRound/Offer/FinishRound).
-	streaming       bool
-	streamAgg       StreamingAggregator
-	streamReport    ScreenReport
-	streamScreenDur time.Duration
-	streamFoldDur   time.Duration
-	streamCount     int
+	// Round state, armed by BeginRound. buffer is the aggregator of rules
+	// that cannot stream; agg points at it for buffered rounds.
+	armed     bool
+	agg       StreamingAggregator
+	buffer    bufferAgg
+	report    ScreenReport
+	screenDur time.Duration
+	foldDur   time.Duration
+	count     int
 }
 
 // AggTiming is the phase breakdown of one Aggregate call.
@@ -105,199 +110,182 @@ func (s *Server) LastScreenReport() (ScreenReport, bool) {
 	return s.screenReports[len(s.screenReports)-1], true
 }
 
-// Aggregate folds the round's client updates into a new global state via the
-// defense's aggregation rule and advances the round counter. Every update's
-// state length is validated against the server state before the defense
-// runs: without a screen a mismatch fails the round; with one, mismatched
-// (or poisoned) updates are screened out and only the survivors aggregate.
+// SetRelease installs the hook that receives each offered update's State
+// buffer once the server no longer reads it: right after the fold when the
+// round streams, at FinishRound or AbortRound when it buffers, and at once
+// for an update the screen drops. The update's State is cleared after the
+// hook runs. nil (the default) leaves every buffer with its owner.
+func (s *Server) SetRelease(release func(state []float64)) { s.release = release }
+
+// Aggregate runs one whole round through the round pipeline: the updates
+// are offered in order and the defense's own aggregation rule combines the
+// survivors. Without a screen a mis-sized update fails the round; with
+// one, mismatched (or poisoned) updates are screened out and only the
+// survivors aggregate.
 func (s *Server) Aggregate(updates []*Update) error {
-	if len(updates) == 0 {
-		return fmt.Errorf("fl: round %d received no updates", s.round)
+	if err := s.BeginRound(nil); err != nil {
+		return err
 	}
-	payloadBytes := 0
 	for _, u := range updates {
-		payloadBytes += 8 * len(u.State)
-	}
-	s.tel.AggUpdateBytesPeak.SetMax(int64(payloadBytes))
-	s.lastTiming = AggTiming{}
-	if s.screen != nil {
-		screenStart := time.Now()
-		kept, report := s.screen.Apply(s.round, s.state, updates)
-		s.lastTiming.Screen = time.Since(screenStart)
-		s.tel.ScreenSeconds.Observe(s.lastTiming.Screen.Seconds())
-		s.screenReports = append(s.screenReports, report)
-		if len(kept) == 0 {
-			return fmt.Errorf("fl: round %d: no updates survived screening (%d rejected, %d quarantined)",
-				s.round, len(report.Rejected), len(report.Quarantined))
-		}
-		updates = kept
-	} else {
-		for _, u := range updates {
-			if len(u.State) != len(s.state) {
-				return fmt.Errorf("fl: round %d update from client %d has %d values, want %d",
-					s.round, u.ClientID, len(u.State), len(s.state))
-			}
+		if _, err := s.Offer(u); err != nil {
+			s.AbortRound()
+			return err
 		}
 	}
-	start := time.Now()
-	next, err := s.def.Aggregate(s.round, s.state, updates)
-	if err != nil {
-		return fmt.Errorf("fl: round %d aggregate: %w", s.round, err)
-	}
-	if len(next) != len(s.state) {
-		return fmt.Errorf("fl: defense %q returned %d values, want %d", s.def.Name(), len(next), len(s.state))
-	}
-	s.lastTiming.Aggregate = time.Since(start)
-	s.tel.AggregateSeconds.Observe(s.lastTiming.Aggregate.Seconds())
-	s.tel.RoundsAggregated.Inc()
-	if s.meter != nil {
-		s.meter.AddServerAgg(s.lastTiming.Aggregate)
-		s.meter.SamplePhase(metrics.PhaseAggregate)
-	}
-	s.state = next
-	s.round++
-	return nil
+	return s.FinishRound()
 }
 
 // LastAggTiming returns the phase breakdown of the most recent Aggregate
 // call (screening vs the defense's aggregation rule).
 func (s *Server) LastAggTiming() AggTiming { return s.lastTiming }
 
-// OfferVerdict is the per-arrival outcome of a streamed update.
+// OfferVerdict is the screen's per-arrival outcome for an offered update.
 type OfferVerdict int
 
-// Offer verdicts.
+// Offer verdicts; those below OfferRejected mean the update survived.
 const (
 	// OfferAccepted: the update was folded into the running aggregate.
 	OfferAccepted OfferVerdict = iota
 	// OfferClipped: folded after the screen norm-clipped its delta.
 	OfferClipped
 	// OfferRejected: the screen rejected the update (not folded); the
-	// caller should evict the sender like the materialized path does.
+	// caller should evict the sender like any protocol violator.
 	OfferRejected
 	// OfferQuarantined: dropped because the sender is serving a quarantine
 	// penalty (not folded, sender not evicted).
 	OfferQuarantined
 )
 
+var verdictNames = [...]string{"accepted", "clipped", "rejected", "quarantined"}
+
 // String implements fmt.Stringer.
 func (v OfferVerdict) String() string {
-	switch v {
-	case OfferAccepted:
-		return "accepted"
-	case OfferClipped:
-		return "clipped"
-	case OfferRejected:
-		return "rejected"
-	case OfferQuarantined:
-		return "quarantined"
-	default:
-		return fmt.Sprintf("verdict(%d)", int(v))
+	if v >= 0 && int(v) < len(verdictNames) {
+		return verdictNames[v]
 	}
+	return fmt.Sprintf("verdict(%d)", int(v))
 }
 
-// BeginRound arms the streaming aggregation path for the current round:
-// updates are then screened and folded one at a time via Offer — their
-// buffers releasable immediately after — and FinishRound finalizes the
-// accumulator into the next global state. Memory stays O(model) instead of
-// O(clients × model). The round counter does not advance until FinishRound.
+// BeginRound arms the current round. With a streaming aggregator each
+// offered update is folded into an O(model) accumulator and its buffer is
+// released at once; with agg nil the round buffers the survivors and
+// FinishRound runs the defense's own Aggregate over them, sorted by
+// ClientID. The round counter does not advance until FinishRound.
 func (s *Server) BeginRound(agg StreamingAggregator) error {
+	if s.armed {
+		return fmt.Errorf("fl: BeginRound while round %d is still open", s.round)
+	}
 	if agg == nil {
-		return fmt.Errorf("fl: BeginRound with nil aggregator")
+		s.buffer.def = s.def
+		agg = &s.buffer
 	}
-	if s.streaming {
-		return fmt.Errorf("fl: BeginRound while round %d is still streaming", s.round)
-	}
-	s.streaming = true
-	s.streamAgg = agg
-	s.streamReport = ScreenReport{Round: s.round}
-	s.streamScreenDur, s.streamFoldDur = 0, 0
-	s.streamCount = 0
+	s.armed = true
+	s.agg = agg
+	s.report = ScreenReport{Round: s.round}
+	s.screenDur, s.foldDur = 0, 0
+	s.count = 0
 	agg.Begin(s.round, s.state)
 	return nil
 }
 
-// Offer screens one arriving update and folds it into the streaming round.
-// The verdict mirrors the materialized screen's per-update outcome; the
-// update's State buffer is never retained, so the caller may release it as
-// soon as Offer returns. A non-nil error means the update was structurally
-// incompatible (or the fold itself failed) — the caller decides whether
-// that fails the round or just the sender.
+// Offer screens one arriving update and folds it into the round. The
+// verdict is the screen's outcome for this update. A non-nil error means
+// the update was structurally incompatible (or the fold itself failed);
+// the caller decides whether that fails the round or just the sender.
 func (s *Server) Offer(u *Update) (OfferVerdict, error) {
-	if !s.streaming {
+	if !s.armed {
 		return OfferRejected, fmt.Errorf("fl: Offer without BeginRound")
 	}
 	if u == nil {
 		return OfferRejected, fmt.Errorf("fl: Offer of nil update")
 	}
+	verdict, held, err := s.offer(u)
+	if !held {
+		s.free(u)
+	}
+	return verdict, err
+}
+
+// offer is Offer's screen-and-fold step; held reports whether the round's
+// buffer kept u itself.
+func (s *Server) offer(u *Update) (verdict OfferVerdict, held bool, err error) {
 	su := u
-	verdict := OfferAccepted
 	if s.screen != nil {
 		start := time.Now()
-		quarBefore, clipBefore := len(s.streamReport.Quarantined), len(s.streamReport.Clipped)
-		screened, ok := s.screen.ApplyOne(&s.streamReport, s.round, s.state, u)
-		s.streamScreenDur += time.Since(start)
-		if !ok {
-			if len(s.streamReport.Quarantined) > quarBefore {
-				return OfferQuarantined, nil
-			}
-			return OfferRejected, nil
+		su, verdict = s.screen.applyOne(&s.report, s.round, s.state, u)
+		s.screenDur += time.Since(start)
+		if verdict >= OfferRejected {
+			return verdict, false, nil
 		}
-		if len(s.streamReport.Clipped) > clipBefore {
-			verdict = OfferClipped
-		}
-		su = screened
 	} else if len(u.State) != len(s.state) {
-		return OfferRejected, fmt.Errorf("fl: round %d update from client %d has %d values, want %d",
+		return OfferRejected, false, fmt.Errorf("fl: round %d update from client %d has %d values, want %d",
 			s.round, u.ClientID, len(u.State), len(s.state))
 	}
 	peak := 8 * len(su.State)
-	if mb, ok := s.streamAgg.(interface{ MemoryBytes() int }); ok {
+	if mb, ok := s.agg.(interface{ MemoryBytes() int }); ok {
 		peak += mb.MemoryBytes()
 	}
 	s.tel.AggUpdateBytesPeak.SetMax(int64(peak))
 	start := time.Now()
-	err := s.streamAgg.Fold(su)
-	s.streamFoldDur += time.Since(start)
+	err = s.agg.Fold(su)
+	s.foldDur += time.Since(start)
 	if err != nil {
-		return OfferRejected, fmt.Errorf("fl: round %d fold: %w", s.round, err)
+		return OfferRejected, false, fmt.Errorf("fl: round %d fold: %w", s.round, err)
 	}
-	s.streamCount++
-	return verdict, nil
+	s.count++
+	return verdict, s.agg == &s.buffer && su == u, nil
 }
 
-// StreamCount returns how many updates the streaming round has folded.
-func (s *Server) StreamCount() int { return s.streamCount }
+// free hands u's State to the release hook, if one is installed.
+func (s *Server) free(u *Update) {
+	if s.release != nil && u.State != nil {
+		s.release(u.State)
+		u.State = nil
+	}
+}
 
-// FinishRound finalizes the streaming round: the accumulator becomes the
-// next global state and the round counter advances, exactly like a
-// successful materialized Aggregate.
+// closeRound disarms the round and releases the updates it buffered.
+func (s *Server) closeRound() {
+	s.armed = false
+	for _, u := range s.buffer.held {
+		s.free(u)
+	}
+	s.buffer.reset()
+}
+
+// StreamCount returns how many updates the open round has folded.
+func (s *Server) StreamCount() int { return s.count }
+
+// FinishRound closes the round: the screen commits the round's accepted
+// norms, the aggregator's result becomes the next global state, and the
+// round counter advances.
 func (s *Server) FinishRound() error {
-	if !s.streaming {
+	if !s.armed {
 		return fmt.Errorf("fl: FinishRound without BeginRound")
 	}
-	s.streaming = false
-	s.lastTiming = AggTiming{Screen: s.streamScreenDur}
+	defer s.closeRound()
+	s.lastTiming = AggTiming{Screen: s.screenDur}
 	if s.screen != nil {
-		s.tel.ScreenSeconds.Observe(s.streamScreenDur.Seconds())
-		s.screenReports = append(s.screenReports, s.streamReport)
+		s.screen.commitRound()
+		s.tel.ScreenSeconds.Observe(s.screenDur.Seconds())
+		s.screenReports = append(s.screenReports, s.report)
 	}
-	if s.streamCount == 0 {
-		if s.screen != nil && len(s.streamReport.Rejected)+len(s.streamReport.Quarantined) > 0 {
+	if s.count == 0 {
+		if s.screen != nil && len(s.report.Rejected)+len(s.report.Quarantined) > 0 {
 			return fmt.Errorf("fl: round %d: no updates survived screening (%d rejected, %d quarantined)",
-				s.round, len(s.streamReport.Rejected), len(s.streamReport.Quarantined))
+				s.round, len(s.report.Rejected), len(s.report.Quarantined))
 		}
 		return fmt.Errorf("fl: round %d received no updates", s.round)
 	}
 	start := time.Now()
-	next, err := s.streamAgg.Finalize()
+	next, err := s.agg.Finalize()
 	if err != nil {
 		return fmt.Errorf("fl: round %d aggregate: %w", s.round, err)
 	}
 	if len(next) != len(s.state) {
 		return fmt.Errorf("fl: defense %q returned %d values, want %d", s.def.Name(), len(next), len(s.state))
 	}
-	s.lastTiming.Aggregate = s.streamFoldDur + time.Since(start)
+	s.lastTiming.Aggregate = s.foldDur + time.Since(start)
 	s.tel.AggregateSeconds.Observe(s.lastTiming.Aggregate.Seconds())
 	s.tel.RoundsAggregated.Inc()
 	if s.meter != nil {
@@ -309,11 +297,14 @@ func (s *Server) FinishRound() error {
 	return nil
 }
 
-// AbortRound discards an armed streaming round (quorum failure, drain)
-// without touching the global state or round counter. Screen offenses
-// booked during the round stick — an offense is an offense even if the
-// round never finalizes.
+// AbortRound discards an open round (quorum failure, drain) without
+// touching the global state or round counter. Screen offenses booked
+// during the round stick — an offense is an offense even if the round
+// never finalizes — but its accepted norms are dropped.
 func (s *Server) AbortRound() {
-	s.streaming = false
-	s.streamCount = 0
+	if s.screen != nil {
+		s.screen.abortRound()
+	}
+	s.count = 0
+	s.closeRound()
 }

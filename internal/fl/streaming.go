@@ -34,8 +34,8 @@ type StreamingAggregator interface {
 // rule can run as a StreamingAggregator. Returning nil declares the rule
 // non-streaming for its current configuration (Krum and Multi-Krum score
 // each update against the whole cohort, so they inherently need every
-// update materialized); the flnet server then falls back to materialized
-// aggregation and raises a telemetry warning.
+// update materialized); the server then buffers the round for the
+// defense's own Aggregate, and flnet raises a telemetry warning.
 type StreamingCapable interface {
 	StreamingAggregator() StreamingAggregator
 }
@@ -47,6 +47,47 @@ func StreamingOf(def Defense) StreamingAggregator {
 		return sc.StreamingAggregator()
 	}
 	return nil
+}
+
+// bufferAgg is the StreamingAggregator face of a rule that cannot stream:
+// it holds the round's updates — unlike every other aggregator, Fold
+// retains them, and Server releases them when the round closes — and
+// Finalize runs the defense's own Aggregate over them in ClientID order,
+// so the result does not depend on arrival order.
+type bufferAgg struct {
+	def   Defense
+	round int
+	prev  []float64
+	held  []*Update
+	bytes int
+}
+
+func (b *bufferAgg) Name() string { return b.def.Name() }
+
+func (b *bufferAgg) Begin(round int, prevGlobal []float64) {
+	b.reset()
+	b.round, b.prev = round, prevGlobal
+}
+
+func (b *bufferAgg) Fold(u *Update) error {
+	b.held = append(b.held, u)
+	b.bytes += 8 * len(u.State)
+	return nil
+}
+
+func (b *bufferAgg) Finalize() ([]float64, error) {
+	sort.SliceStable(b.held, func(i, j int) bool { return b.held[i].ClientID < b.held[j].ClientID })
+	return b.def.Aggregate(b.round, b.prev, b.held)
+}
+
+// MemoryBytes reports the held payload, which the aggregation peak-memory
+// gauge counts like a streaming accumulator.
+func (b *bufferAgg) MemoryBytes() int { return b.bytes }
+
+// reset forgets the held updates (without touching their buffers).
+func (b *bufferAgg) reset() {
+	clear(b.held)
+	b.held, b.prev, b.bytes = b.held[:0], nil, 0
 }
 
 // CohortAware is implemented by defenses whose correctness depends on the
@@ -187,16 +228,13 @@ func (a *StreamingFedAvg) MemoryBytes() int {
 // arrival order. Non-finite updates are dropped, mirroring the materialized
 // rule's finiteness filter.
 type StreamingNormBound struct {
-	inner      *StreamingFedAvg
-	multiple   float64
-	window     int
-	minHistory int
-	prev       []float64
-	bound      float64
-	history    []float64
-	roundNorms []float64
-	scratch    []float64
-	dropped    int
+	inner    *StreamingFedAvg
+	multiple float64
+	norms    normWindow
+	prev     []float64
+	bound    float64
+	scratch  []float64
+	dropped  int
 }
 
 var _ StreamingAggregator = (*StreamingNormBound)(nil)
@@ -208,10 +246,9 @@ func NewStreamingNormBound(multiple float64) *StreamingNormBound {
 		multiple = 1
 	}
 	return &StreamingNormBound{
-		inner:      NewStreamingFedAvg(),
-		multiple:   multiple,
-		window:     64,
-		minHistory: 4,
+		inner:    NewStreamingFedAvg(),
+		multiple: multiple,
+		norms:    normWindow{size: 64, minHistory: 4},
 	}
 }
 
@@ -224,27 +261,12 @@ func (a *StreamingNormBound) Name() string { return "norm-bound" }
 func (a *StreamingNormBound) Begin(round int, prevGlobal []float64) {
 	a.inner.Begin(round, prevGlobal)
 	a.prev = prevGlobal
-	a.roundNorms = a.roundNorms[:0]
+	a.norms.abort()
 	a.dropped = 0
-	a.bound = a.currentBound()
-}
-
-// currentBound returns multiple × median of the trailing accepted norms, or
-// +Inf while the window is still calibrating.
-func (a *StreamingNormBound) currentBound() float64 {
-	if len(a.history) < a.minHistory {
-		return math.Inf(1)
+	a.bound = math.Inf(1) // +Inf while the window is still calibrating
+	if med, ok := a.norms.median(); ok {
+		a.bound = a.multiple * med
 	}
-	sorted := append([]float64(nil), a.history...)
-	sort.Float64s(sorted)
-	med := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		med = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	if med <= 0 {
-		return math.Inf(1)
-	}
-	return a.multiple * med
 }
 
 // Fold implements StreamingAggregator.
@@ -264,7 +286,7 @@ func (a *StreamingNormBound) Fold(u *Update) error {
 		if err := a.inner.Fold(u); err != nil {
 			return err
 		}
-		a.roundNorms = append(a.roundNorms, norm)
+		a.norms.add(norm)
 		return nil
 	}
 	// Clip: keep the delta's direction, cap its magnitude at the bound.
@@ -281,7 +303,7 @@ func (a *StreamingNormBound) Fold(u *Update) error {
 	if err := a.inner.Fold(&cu); err != nil {
 		return err
 	}
-	a.roundNorms = append(a.roundNorms, a.bound)
+	a.norms.add(a.bound)
 	return nil
 }
 
@@ -292,29 +314,70 @@ func (a *StreamingNormBound) Finalize() ([]float64, error) {
 	if a.inner.Count() == 0 && a.dropped > 0 {
 		return nil, fmt.Errorf("fl: norm-bounded FedAvg: every update carries non-finite values")
 	}
-	sort.Float64s(a.roundNorms)
-	a.history = append(a.history, a.roundNorms...)
-	if len(a.history) > a.window {
-		a.history = a.history[len(a.history)-a.window:]
-	}
-	a.roundNorms = a.roundNorms[:0]
+	a.norms.commit()
 	return a.inner.Finalize()
 }
 
 // MemoryBytes reports the accumulator footprint.
 func (a *StreamingNormBound) MemoryBytes() int {
-	return a.inner.MemoryBytes() + (len(a.history)+cap(a.scratch))*8
+	return a.inner.MemoryBytes() + (len(a.norms.norms)+cap(a.scratch))*8
 }
 
 // ExportNorms copies the trailing accepted-norm window for checkpointing,
 // so a crash/resume keeps clipping against the same calibration.
 func (a *StreamingNormBound) ExportNorms() []float64 {
-	return append([]float64(nil), a.history...)
+	return append([]float64(nil), a.norms.norms...)
 }
 
 // ImportNorms restores a checkpointed norm window.
 func (a *StreamingNormBound) ImportNorms(norms []float64) {
-	a.history = append(a.history[:0], norms...)
+	a.norms.load(norms)
+}
+
+// normWindow is a trailing window of accepted delta norms whose median
+// bounds the next round. Norms accepted during a round stay pending until
+// the round commits — sorted, so the window does not depend on arrival
+// order — or aborts, so the bound stays fixed for the whole round.
+type normWindow struct {
+	size, minHistory int
+	norms, pending   []float64
+}
+
+// median returns the committed norms' median; ok is false until
+// minHistory norms are committed, or when the median is not positive.
+func (w *normWindow) median() (float64, bool) {
+	if len(w.norms) < w.minHistory {
+		return 0, false
+	}
+	sorted := append([]float64(nil), w.norms...)
+	sort.Float64s(sorted)
+	med := sorted[len(sorted)/2]
+	if len(sorted)%2 == 0 {
+		med = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
+	}
+	return med, med > 0
+}
+
+// add holds an accepted norm for the round's commit.
+func (w *normWindow) add(norm float64) { w.pending = append(w.pending, norm) }
+
+// commit appends the round's sorted norms and trims the window to size.
+func (w *normWindow) commit() {
+	sort.Float64s(w.pending)
+	w.norms = append(w.norms, w.pending...)
+	if len(w.norms) > w.size {
+		w.norms = w.norms[len(w.norms)-w.size:]
+	}
+	w.pending = w.pending[:0]
+}
+
+// abort drops the round's pending norms.
+func (w *normWindow) abort() { w.pending = w.pending[:0] }
+
+// load replaces the window with checkpointed norms.
+func (w *normWindow) load(norms []float64) {
+	w.norms = append(w.norms[:0], norms...)
+	w.pending = w.pending[:0]
 }
 
 // NormCarrier is implemented by streaming aggregators with calibration

@@ -58,9 +58,6 @@ type Config struct {
 	// round's updates are validated (shape, NaN/Inf) and offenders are
 	// quarantined before the defense aggregates.
 	NoScreen bool
-	// ClipNorms additionally enables the screen's delta-norm clipping
-	// against a running median-of-norms bound.
-	ClipNorms bool
 }
 
 // withDefaults fills unset fields with the paper's §5.3 defaults, scaled.
@@ -189,7 +186,7 @@ func NewSystem(cfg Config, def Defense) (*System, error) {
 		return nil, err
 	}
 	if !cfg.NoScreen {
-		server.SetScreen(NewScreen(ScreenConfig{ClipNorms: cfg.ClipNorms}))
+		server.SetScreen(NewScreen(ScreenConfig{}))
 	}
 	return &System{
 		Config:  cfg,

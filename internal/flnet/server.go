@@ -1,12 +1,12 @@
 package flnet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -59,11 +59,11 @@ type ServerConfig struct {
 	// updates' pairwise masks cannot cancel across cohorts).
 	AsyncStaleness int
 	// Streaming folds each update into an O(model) running accumulator as
-	// it arrives instead of materializing the whole cohort's updates
-	// (O(clients × model)). Requires a defense whose aggregation rule can
-	// stream (fl.StreamingCapable); otherwise the server logs a warning,
-	// increments dinar_flnet_streaming_fallback_total, and falls back to
-	// materialized aggregation.
+	// it arrives instead of buffering the whole cohort's updates
+	// (O(clients × model)) for the defense's own Aggregate. Requires a
+	// defense whose aggregation rule can stream (fl.StreamingCapable);
+	// otherwise the server logs a warning, increments
+	// dinar_flnet_streaming_fallback_total, and buffers.
 	Streaming bool
 	// Rounds is the number of FL rounds to run.
 	Rounds int
@@ -235,7 +235,6 @@ type Server struct {
 	ln  net.Listener
 
 	core       *fl.Server
-	screen     *fl.Screen
 	startRound int
 	tel        *Metrics
 
@@ -275,13 +274,13 @@ type Server struct {
 	killOnce  sync.Once
 
 	// Accept-path admission control for the rejoin phase.
-	admit  *tokenBucket
+	admit  *TokenBucket
 	regSem chan struct{}
 
-	// streamAgg is the defense's streaming aggregator (nil means
-	// materialized aggregation); cohortAware is non-nil when the defense
-	// needs each round's sampled cohort announced (secure aggregation's
-	// mask graph).
+	// streamAgg is the defense's streaming aggregator (nil means the core
+	// buffers each round for the defense's own Aggregate); cohortAware is
+	// non-nil when the defense needs each round's sampled cohort announced
+	// (secure aggregation's mask graph).
 	streamAgg   fl.StreamingAggregator
 	cohortAware fl.CohortAware
 
@@ -306,10 +305,11 @@ type Server struct {
 	ring      *bcastRing
 }
 
-// tokenBucket is a minimal mutex-guarded token bucket (stdlib only): allow
-// spends one token when available, tokens refill at rate per second up to
-// burst. A nil bucket allows everything.
-type tokenBucket struct {
+// TokenBucket is a minimal mutex-guarded token bucket (stdlib only):
+// Allow spends one token when available, tokens refill at rate per second
+// up to burst. A nil bucket allows everything. The server's registration
+// admission and the service front door's per-client limiter both use it.
+type TokenBucket struct {
 	mu     sync.Mutex
 	rate   float64
 	burst  float64
@@ -317,14 +317,17 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-func newTokenBucket(rate float64, burst int) *tokenBucket {
+// NewTokenBucket returns a full bucket, or nil (allow everything) when
+// rate ≤ 0.
+func NewTokenBucket(rate float64, burst int) *TokenBucket {
 	if rate <= 0 {
 		return nil
 	}
-	return &tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst)}
+	return &TokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst)}
 }
 
-func (b *tokenBucket) allow(now time.Time) bool {
+// Allow refills the bucket up to now and spends one token if it can.
+func (b *TokenBucket) Allow(now time.Time) bool {
 	if b == nil {
 		return true
 	}
@@ -344,40 +347,27 @@ func (b *tokenBucket) allow(now time.Time) bool {
 	return true
 }
 
-// NewServer validates the configuration, loads a checkpoint when one is
+// LastUsed returns the time of the latest Allow call (zero before the
+// first).
+func (b *TokenBucket) LastUsed() time.Time {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.last
+}
+
+// NewServer validates the configuration (every failed rule of
+// ServerConfig.Validate at once), loads a checkpoint when one is
 // configured and present, and starts listening.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.NumClients <= 0 || cfg.Rounds <= 0 {
-		return nil, fmt.Errorf("flnet: need positive NumClients/Rounds, got %d/%d", cfg.NumClients, cfg.Rounds)
-	}
-	if cfg.MinClients == 0 {
-		cfg.MinClients = cfg.NumClients
-	}
-	if cfg.MinClients < 1 || cfg.MinClients > cfg.NumClients {
-		return nil, fmt.Errorf("flnet: MinClients %d outside [1,%d]", cfg.MinClients, cfg.NumClients)
-	}
-	if cfg.SampleSize < 0 || cfg.SampleSize > cfg.NumClients {
-		return nil, fmt.Errorf("flnet: SampleSize %d outside [0,%d]", cfg.SampleSize, cfg.NumClients)
-	}
-	if cfg.SampleSize > 0 && cfg.MinClients > cfg.SampleSize {
-		return nil, fmt.Errorf("flnet: quorum MinClients %d exceeds sample size %d: no round could ever reach quorum; lower MinClients or raise SampleSize",
-			cfg.MinClients, cfg.SampleSize)
-	}
-	if cfg.AsyncStaleness < 0 {
-		return nil, fmt.Errorf("flnet: negative AsyncStaleness %d", cfg.AsyncStaleness)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Defense == nil {
 		return nil, fmt.Errorf("flnet: nil defense")
 	}
+	cfg.MinClients = cfg.quorum()
 	cohortAware, _ := cfg.Defense.(fl.CohortAware)
-	if cohortAware != nil && cfg.AsyncStaleness > 0 {
-		return nil, fmt.Errorf("flnet: defense %q is cohort-aware (secure aggregation): staleness-buffered updates would carry pairwise masks from an older cohort that cannot cancel; run it synchronously",
-			cfg.Defense.Name())
-	}
-	offerCaps, quantKind, err := wireOffer(&cfg, cohortAware)
-	if err != nil {
-		return nil, err
-	}
+	offerCaps, quantKind := wireOffer(&cfg)
 	if cfg.IOTimeout == 0 {
 		cfg.IOTimeout = 2 * time.Minute
 	}
@@ -457,32 +447,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 				})
 			}
 			// Re-drawing bit-identical cohorts after a crash needs the
-			// original sampling draw: adopt the recorded seed when the
-			// config left it unset, and refuse a conflicting one — a
-			// silently different draw would break replayability.
-			if snap.SampleSeed != 0 {
-				switch {
-				case cfg.SampleSeed == 0:
-					cfg.SampleSeed = snap.SampleSeed
-				case cfg.SampleSeed != snap.SampleSeed:
-					return nil, fmt.Errorf("flnet: checkpoint sampled with seed %d, config says %d", snap.SampleSeed, cfg.SampleSeed)
-				}
+			// original sampling draw — a silently different draw would
+			// break replayability.
+			if cfg.SampleSeed, err = adoptSeed(cfg.SampleSeed, snap.SampleSeed, "sampled"); err != nil {
+				return nil, err
 			}
 			if snap.SampleSize != 0 && cfg.SampleSize != 0 && snap.SampleSize != cfg.SampleSize {
 				return nil, fmt.Errorf("flnet: checkpoint sampled %d clients per round, config says %d", snap.SampleSize, cfg.SampleSize)
 			}
 			// Clients reconstruct quantized payloads with the federation's
-			// quantization seed: adopt the recorded one like SampleSeed, and
-			// refuse a conflicting configuration — reconstructions would
+			// quantization seed — with another one, reconstructions would
 			// silently diverge from the recorded broadcast chain.
 			if snap.Wire != nil {
-				if snap.Wire.QuantSeed != 0 {
-					switch {
-					case cfg.QuantSeed == 0:
-						cfg.QuantSeed = snap.Wire.QuantSeed
-					case cfg.QuantSeed != snap.Wire.QuantSeed:
-						return nil, fmt.Errorf("flnet: checkpoint quantized with seed %d, config says %d", snap.Wire.QuantSeed, cfg.QuantSeed)
-					}
+				if cfg.QuantSeed, err = adoptSeed(cfg.QuantSeed, snap.Wire.QuantSeed, "quantized"); err != nil {
+					return nil, err
 				}
 				resumeWire = snap.Wire
 			}
@@ -492,17 +470,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 				cfg.CheckpointPath, startRound, snap.Generation)
 		}
 	}
-	// Normalized after checkpoint adoption so 0 stays the "unset" marker
+	// Defaulted after checkpoint adoption so 0 stays the "unset" marker
 	// until the recorded seed has had its chance.
-	if cfg.SampleSize > 0 && cfg.SampleSeed == 0 {
-		if cfg.SampleSeed = cfg.SampleSeedDefault; cfg.SampleSeed == 0 {
-			cfg.SampleSeed = 1
-		}
+	if cfg.SampleSize > 0 {
+		cfg.SampleSeed = cmp.Or(cfg.SampleSeed, cfg.SampleSeedDefault, 1)
 	}
-	if quantKind != fl.QuantNone && cfg.QuantSeed == 0 {
-		if cfg.QuantSeed = cfg.QuantSeedDefault; cfg.QuantSeed == 0 {
-			cfg.QuantSeed = 1
-		}
+	if quantKind != fl.QuantNone {
+		cfg.QuantSeed = cmp.Or(cfg.QuantSeed, cfg.QuantSeedDefault, 1)
 	}
 
 	core, err := fl.NewServer(state, cfg.Defense, cfg.Meter)
@@ -511,6 +485,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	core.SetMetrics(flTel)
 	core.SetRound(startRound)
+	core.SetRelease(PutState)
 	if screen != nil {
 		core.SetScreen(screen)
 	}
@@ -520,7 +495,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		streamAgg = fl.StreamingOf(cfg.Defense)
 		if streamAgg == nil {
 			tel.StreamingFallback.Inc()
-			events.Eventf(-1, -1, "flnet: defense %q has no streaming aggregation rule; falling back to materialized aggregation",
+			events.Eventf(-1, -1, "flnet: defense %q has no streaming aggregation rule; buffering each round instead",
 				cfg.Defense.Name())
 		} else if nc, ok := streamAgg.(fl.NormCarrier); ok && len(streamNorms) > 0 {
 			// The streaming norm bound calibrates against a trailing
@@ -541,7 +516,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:         cfg,
 		ln:          ln,
 		core:        core,
-		screen:      screen,
 		startRound:  startRound,
 		tel:         tel,
 		events:      events,
@@ -555,7 +529,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		runDone:     make(chan struct{}),
 		drainCh:     make(chan struct{}),
 		drainKill:   make(chan struct{}),
-		admit:       newTokenBucket(cfg.RegisterRate, cfg.RegisterBurst),
+		admit:       NewTokenBucket(cfg.RegisterRate, cfg.RegisterBurst),
 		regSem:      make(chan struct{}, cfg.MaxInflightRegistrations),
 		streamAgg:   streamAgg,
 		cohortAware: cohortAware,
@@ -586,6 +560,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 	}
 	return srv, nil
+}
+
+// adoptSeed resolves a seed on resume: the configured one, or the
+// checkpoint's recorded one when the config left it unset (0). A
+// conflicting pair is refused.
+func adoptSeed(configured, recorded int64, what string) (int64, error) {
+	if recorded != 0 && configured != 0 && configured != recorded {
+		return 0, fmt.Errorf("flnet: checkpoint %s with seed %d, config says %d", what, recorded, configured)
+	}
+	return cmp.Or(configured, recorded), nil
 }
 
 // Shutdown gracefully drains the server: registration stops admitting new
@@ -763,19 +747,14 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		s.status = "running"
 		s.mu.Unlock()
 		s.tel.RoundsStarted.Inc()
-		streaming := s.streamAgg != nil
-		if streaming {
-			if err := s.core.BeginRound(s.streamAgg); err != nil {
-				return nil, fmt.Errorf("flnet: round %d: %w", round, err)
-			}
+		if err := s.core.BeginRound(s.streamAgg); err != nil {
+			return nil, fmt.Errorf("flnet: round %d: %w", round, err)
 		}
-		updates, report, err := s.runRound(ctx, round)
+		report, err := s.runRound(ctx, round)
 		if err != nil {
-			if streaming {
-				// Abandon the armed streaming round; screen offenses booked
-				// during it stick.
-				s.core.AbortRound()
-			}
+			// Abandon the open round; screen offenses booked during it
+			// stick.
+			s.core.AbortRound()
 			s.mu.Lock()
 			s.reports = append(s.reports, report)
 			s.mu.Unlock()
@@ -788,26 +767,9 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 			}
 			return nil, fmt.Errorf("flnet: round %d: %w", round, err)
 		}
-		var aggErr error
-		if streaming {
-			// The round's updates were folded one at a time as they arrived
-			// (runRound → core.Offer); finalize the accumulator.
-			aggErr = s.core.FinishRound()
-		} else {
-			// Arrival order is nondeterministic; aggregate in client order so a
-			// federation's result is reproducible run-to-run (and across a
-			// checkpoint resume).
-			sort.Slice(updates, func(i, j int) bool { return updates[i].ClientID < updates[j].ClientID })
-			aggErr = s.core.Aggregate(updates)
-			// The cohort's update payloads are dead once aggregated (every
-			// aggregation rule returns freshly allocated state): recycle
-			// their buffers so the next round's reads reuse them instead of
-			// re-allocating O(cohort × model).
-			for _, u := range updates {
-				PutState(u.State)
-				u.State = nil
-			}
-		}
+		// Every update was offered as it arrived (runRound → core.Offer);
+		// close the round.
+		aggErr := s.core.FinishRound()
 		agg := s.core.LastAggTiming()
 		report.Timing.Screen = agg.Screen
 		report.Timing.Aggregate = agg.Aggregate
@@ -843,20 +805,9 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 	if err := s.joinCheckpoint(); err != nil {
 		return nil, fmt.Errorf("flnet: final checkpoint: %w", err)
 	}
-	s.mu.Lock()
-	s.curRound = s.cfg.Rounds
-	s.status = "done"
-	s.mu.Unlock()
-
 	final := s.core.GlobalState()
-	s.mu.Lock()
-	finalSessions := make([]*session, 0, len(s.live))
-	for _, sess := range s.live {
-		finalSessions = append(finalSessions, sess)
-	}
-	s.mu.Unlock()
 	var doneErrs []error
-	for _, sess := range finalSessions {
+	for _, sess := range s.setPhase(s.cfg.Rounds, "done") {
 		msg := &Message{Kind: KindDone, Round: s.cfg.Rounds, State: final}
 		if err := s.send(sess, msg); err != nil {
 			// The federation already converged; a client that cannot
@@ -868,6 +819,19 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		s.logf(s.cfg.Rounds, -1, "flnet: done broadcast: %v", errors.Join(doneErrs...))
 	}
 	return final, nil
+}
+
+// setPhase records the round being orchestrated and the /healthz status,
+// and returns the sessions live at that moment.
+func (s *Server) setPhase(round int, status string) []*session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.curRound, s.status = round, status
+	sessions := make([]*session, 0, len(s.live))
+	for _, sess := range s.live {
+		sessions = append(sessions, sess)
+	}
+	return sessions
 }
 
 // closeLive closes every live session's connection and empties the live
@@ -891,17 +855,17 @@ func (s *Server) saveCheckpoint() error {
 // buildSnapshot deep-copies the federation's persistent state into a
 // checkpoint snapshot. Every buffer the snapshot references is owned by
 // the snapshot alone — the async-buffer update states in particular are
-// copied, because the round loop recycles those buffers (PutState) when
-// a buffered update folds into a later round, and pipelined mode encodes
-// the snapshot concurrently with that loop.
+// copied, because the core hands those buffers back to the pool
+// (PutState) when a buffered update folds into a later round, and
+// pipelined mode encodes the snapshot concurrently with that loop.
 func (s *Server) buildSnapshot() *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
 		Dataset: s.cfg.Dataset,
 		Round:   s.core.Round(),
 		State:   s.core.GlobalState(),
 	}
-	if s.screen != nil {
-		st := s.screen.ExportState()
+	if screen := s.core.Screen(); screen != nil {
+		st := screen.ExportState()
 		snap.Quarantine = &checkpoint.QuarantineState{
 			Offenses:     st.Offenses,
 			BlockedUntil: st.BlockedUntil,
@@ -1045,14 +1009,7 @@ func (s *Server) drainExit(round int) ([]float64, error) {
 			}
 		}
 	}
-	s.mu.Lock()
-	s.curRound = round
-	s.status = "drained"
-	sessions := make([]*session, 0, len(s.live))
-	for _, sess := range s.live {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
+	sessions := s.setPhase(round, "drained")
 	retryAfter := int(s.cfg.DrainRetryAfter / time.Millisecond)
 	for _, sess := range sessions {
 		// Best effort: the client's read will fail when the conn closes
@@ -1121,8 +1078,13 @@ var errTooManyRejects = errors.New("flnet: too many rejected registration attemp
 // added to the live set; on failure the registrant gets a KindError frame,
 // the connection is closed, and the reject counter advances.
 func (s *Server) register(conn net.Conn) (*session, error) {
+	// reject answers with an error frame in whatever codec the registrant
+	// was acked (nil before negotiation), closes the conn, and books the
+	// rejection.
+	var codec *Codec
 	reject := func(reason string) error {
-		s.sendError(conn, reason)
+		conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
+		_ = WriteMessageWith(conn, &Message{Kind: KindError, Err: reason}, codec) // best effort
 		conn.Close()
 		s.mu.Lock()
 		s.rejects++
@@ -1169,26 +1131,14 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 			return nil, fmt.Errorf("flnet: wire ack to client %d: %w", msg.ClientID, err)
 		}
 		sess.codec = NewCodec(caps, s.cfg.QuantSeed, s.cfg.TopK, s.sessionBase(sess))
+		codec = sess.codec
 	}
 	s.mu.Lock()
 	if _, dup := s.live[msg.ClientID]; dup {
 		s.mu.Unlock()
 		// Lost the insert race against a concurrent registration for the
-		// same id; the rejection must speak whatever codec was just acked.
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		_ = WriteMessageWith(conn, &Message{Kind: KindError,
-			Err: fmt.Sprintf("client id %d already registered", msg.ClientID)}, sess.codec)
-		conn.Close()
-		s.mu.Lock()
-		s.rejects++
-		tooMany := s.rejects > s.cfg.MaxRejects
-		s.mu.Unlock()
-		s.tel.RegistrationsRejected.Inc()
-		s.logf(-1, msg.ClientID, "flnet: rejected registrant from %v: duplicate client id %d", conn.RemoteAddr(), msg.ClientID)
-		if tooMany {
-			return nil, fmt.Errorf("%w (%d)", errTooManyRejects, s.cfg.MaxRejects)
-		}
-		return nil, fmt.Errorf("flnet: rejected registrant: duplicate client id %d", msg.ClientID)
+		// same id; the rejection speaks the codec just acked.
+		return nil, reject(fmt.Sprintf("client id %d already registered", msg.ClientID))
 	}
 	s.live[msg.ClientID] = sess
 	s.tel.LiveClients.Set(int64(len(s.live)))
@@ -1226,7 +1176,7 @@ func (s *Server) acceptRejoins(ctx context.Context, quit <-chan struct{}) {
 			conn.Close()
 			continue
 		}
-		if !s.admit.allow(time.Now()) {
+		if !s.admit.Allow(time.Now()) {
 			s.sendDrain(conn)
 			conn.Close()
 			s.tel.AdmissionShed.Inc()
@@ -1322,7 +1272,7 @@ func (s *Server) sampleCohort(round int, counted map[int]bool) (cohort, queue []
 	}
 	ids := make([]int, 0, len(liveSessions))
 	for id := range liveSessions {
-		if s.screen != nil && s.screen.Quarantined(id, round) {
+		if screen := s.core.Screen(); screen != nil && screen.Quarantined(id, round) {
 			continue // quarantined clients are never sampled
 		}
 		ids = append(ids, id)
@@ -1348,10 +1298,8 @@ func (s *Server) sampleCohort(round int, counted map[int]bool) (cohort, queue []
 // evicted (they may rejoin later); with sampling on, evicted cohort members
 // are replaced from the deterministic draw's remainder so a partitioned
 // cohort slice doesn't stall the round; every client error of the round is
-// joined into the report. With streaming aggregation armed, each update is
-// screened and folded the moment it arrives and its buffer recycled — the
-// returned updates slice stays nil and the caller finalizes via
-// core.FinishRound.
+// joined into the report. Each update is offered to the core's open round
+// the moment it arrives; the caller closes the round via core.FinishRound.
 //
 // Synchronous and async rounds share this loop and differ in three rules:
 //   - A result from an earlier round is dropped in sync mode (its sender
@@ -1363,7 +1311,7 @@ func (s *Server) sampleCohort(round int, counted map[int]bool) (cohort, queue []
 //     round completes as soon as MinClients updates are accepted.
 //   - A sync round evicts the stragglers still in flight when it
 //     completes; async mode leaves them running for a later round.
-func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundReport, error) {
+func (s *Server) runRound(ctx context.Context, round int) (RoundReport, error) {
 	bc := s.prepareBroadcast(round)
 	report := RoundReport{Round: round}
 	roundStart := time.Now()
@@ -1371,22 +1319,13 @@ func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundRe
 	sampling := s.cfg.SampleSize > 0
 
 	var (
-		updates  []*fl.Update
 		errs     []error
 		got      int                       // updates counted toward quorum
 		pending  int                       // this round's exchanges still in flight
 		included = make(map[*session]bool) // sessions launched this round
 	)
 	evict := func(sess *session, err error) {
-		s.mu.Lock()
-		if s.live[sess.clientID] == sess {
-			delete(s.live, sess.clientID)
-			s.tel.LiveClients.Set(int64(len(s.live)))
-		}
-		s.mu.Unlock()
-		sess.conn.Close()
-		s.tel.ClientsEvicted.Inc()
-		report.Dropped = append(report.Dropped, sess.clientID)
+		s.evict(sess, &report)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("client %d: %w", sess.clientID, err))
 		}
@@ -1405,21 +1344,18 @@ func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundRe
 			return nil
 		}
 		u.Staleness = staleness
-		if s.streamAgg != nil {
-			// Screen and fold immediately, then recycle the buffer. The
-			// screen's verdicts land in the post-round report exactly like
-			// the materialized path (applyScreenOutcome).
-			_, err := s.core.Offer(u)
-			PutState(u.State)
-			u.State = nil
-			if err != nil {
-				return err
-			}
-		} else {
-			updates = append(updates, u)
+		// The core screens and folds (or buffers) the update and hands its
+		// buffer back to the pool. A screened-out update still counts
+		// toward quorum; its sender is evicted after the round
+		// (applyScreenOutcome).
+		verdict, err := s.core.Offer(u)
+		if err != nil {
+			return err
 		}
 		got++
-		report.Participants = append(report.Participants, u.ClientID)
+		if verdict == fl.OfferAccepted || verdict == fl.OfferClipped {
+			report.Participants = append(report.Participants, u.ClientID)
+		}
 		if staleness > 0 {
 			report.Stale++
 			s.tel.AsyncStaleAccepted.Inc()
@@ -1531,9 +1467,9 @@ func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundRe
 			restartDeadline()
 		}
 	}
-	fail := func(err error) ([]*fl.Update, RoundReport, error) {
+	fail := func(err error) (RoundReport, error) {
 		report.Err = errors.Join(errs...)
-		return nil, report, err
+		return report, err
 	}
 
 	for {
@@ -1614,7 +1550,21 @@ func (s *Server) runRound(ctx context.Context, round int) ([]*fl.Update, RoundRe
 	s.tel.RoundWaitSeconds.Observe(report.Timing.Wait.Seconds())
 	s.tel.AsyncBuffered.Set(int64(len(s.asyncBuf)))
 	report.Err = errors.Join(errs...)
-	return updates, report, nil
+	return report, nil
+}
+
+// evict removes sess from the live set (if it still holds its id), closes
+// its connection, and records the drop in report. The client may rejoin.
+func (s *Server) evict(sess *session, report *RoundReport) {
+	s.mu.Lock()
+	if s.live[sess.clientID] == sess {
+		delete(s.live, sess.clientID)
+		s.tel.LiveClients.Set(int64(len(s.live)))
+	}
+	s.mu.Unlock()
+	sess.conn.Close()
+	s.tel.ClientsEvicted.Inc()
+	report.Dropped = append(report.Dropped, sess.clientID)
 }
 
 // settle marks res's exchange finished and reports whether its update may
@@ -1649,11 +1599,11 @@ func (s *Server) sweepLate(round int, fn func(result)) {
 	}
 }
 
-// applyScreenOutcome merges the round's screening report (if any) into the
-// cohort report and evicts the sessions of rejected clients: a poisoner is
-// disconnected like any other protocol violator. It may rejoin via the
-// resync path, but while its quarantine penalty lasts its updates keep
-// being excluded from aggregation.
+// applyScreenOutcome copies the round's screening verdicts (if any) into
+// the cohort report and evicts the sessions of rejected clients: a
+// poisoner is disconnected like any other protocol violator. It may rejoin
+// via the resync path, but while its quarantine penalty lasts its updates
+// keep being excluded from aggregation.
 func (s *Server) applyScreenOutcome(round int, report *RoundReport) {
 	rep, ok := s.core.LastScreenReport()
 	if !ok || rep.Round != round {
@@ -1662,35 +1612,12 @@ func (s *Server) applyScreenOutcome(round int, report *RoundReport) {
 	report.Rejected = rep.RejectedIDs()
 	report.Quarantined = append([]int(nil), rep.Quarantined...)
 	report.Clipped = append([]int(nil), rep.Clipped...)
-	excluded := make(map[int]bool, len(report.Rejected)+len(report.Quarantined))
-	for _, id := range report.Rejected {
-		excluded[id] = true
-	}
-	for _, id := range report.Quarantined {
-		excluded[id] = true
-	}
-	if len(excluded) == 0 {
-		return
-	}
-	participants := report.Participants[:0]
-	for _, id := range report.Participants {
-		if !excluded[id] {
-			participants = append(participants, id)
-		}
-	}
-	report.Participants = participants
 	for _, v := range rep.Rejected {
 		s.mu.Lock()
 		sess := s.live[v.ClientID]
-		if sess != nil {
-			delete(s.live, v.ClientID)
-			s.tel.LiveClients.Set(int64(len(s.live)))
-		}
 		s.mu.Unlock()
 		if sess != nil {
-			sess.conn.Close()
-			s.tel.ClientsEvicted.Inc()
-			report.Dropped = append(report.Dropped, v.ClientID)
+			s.evict(sess, report)
 			s.logf(round, v.ClientID, "flnet: round %d: evicted client %d: %s", round, v.ClientID, v.Reason)
 		}
 	}
@@ -1757,10 +1684,4 @@ func (s *Server) exchange(sess *session, round int, bc broadcast, cohort []int) 
 func (s *Server) send(sess *session, msg *Message) error {
 	sess.conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
 	return WriteMessageWith(sess.conn, msg, sess.codec)
-}
-
-func (s *Server) sendError(conn net.Conn, text string) {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-	// Best effort: the registrant is being rejected anyway.
-	_ = WriteMessage(conn, &Message{Kind: KindError, Err: text})
 }

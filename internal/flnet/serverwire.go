@@ -1,7 +1,6 @@
 package flnet
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/fl"
@@ -12,22 +11,10 @@ import (
 // and quantized payloads anchor against, and the per-round canonical
 // broadcast preparation.
 
-// wireOffer validates the codec portion of a ServerConfig and computes the
-// capability mask the server offers at negotiation (0 = plain binary only).
-func wireOffer(cfg *ServerConfig, cohortAware fl.CohortAware) (uint32, fl.QuantKind, error) {
-	quant, err := fl.ParseQuantKind(cfg.Quantize)
-	if err != nil {
-		return 0, 0, err
-	}
-	if cfg.TopK < 0 || cfg.TopK >= 1 {
-		return 0, 0, fmt.Errorf("flnet: TopK %g outside [0,1)", cfg.TopK)
-	}
-	if cfg.TopK > 0 && quant == fl.QuantNone {
-		return 0, 0, fmt.Errorf("flnet: TopK sparsification requires quantization (set Quantize)")
-	}
-	if quant != fl.QuantNone && cohortAware != nil {
-		return 0, 0, fmt.Errorf("flnet: defense is cohort-aware (secure aggregation): quantized uploads would corrupt the pairwise mask cancellation; disable Quantize or the masking defense")
-	}
+// wireOffer computes the capability mask a validated ServerConfig offers
+// at negotiation (0 = plain binary only) and its upload quantization.
+func wireOffer(cfg *ServerConfig) (uint32, fl.QuantKind) {
+	quant, _ := fl.ParseQuantKind(cfg.Quantize) // Validate vetted the name
 	var caps uint32
 	if cfg.Compress {
 		caps |= CapFlate
@@ -44,7 +31,7 @@ func wireOffer(cfg *ServerConfig, cohortAware fl.CohortAware) (uint32, fl.QuantK
 	if cfg.Delta {
 		caps |= CapDelta
 	}
-	return caps, quant, nil
+	return caps, quant
 }
 
 // bcastRing holds the last few rounds' canonical broadcast states so

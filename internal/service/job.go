@@ -135,40 +135,16 @@ func (j *Job) start() error {
 		return fmt.Errorf("service: job %q: %w", j.spec.Name, err)
 	}
 	ln := newConnListener(spec.Name, j.backlog)
-	name := spec.Name
-	logf := j.logf
-	srv, err := flnet.NewServer(flnet.ServerConfig{
-		NumClients:        spec.Clients,
-		MinClients:        spec.MinClients,
-		Rounds:            spec.Rounds,
-		RoundDeadline:     spec.RoundDeadline(),
-		SampleSize:        spec.SampleSize,
-		SampleSeed:        spec.SampleSeed,
-		SampleSeedDefault: spec.Seed,
-		AsyncStaleness:    spec.AsyncStaleness,
-		Streaming:         spec.Streaming,
-		Compress:          spec.Compress,
-		Quantize:          spec.Quantize,
-		TopK:              spec.TopK,
-		Delta:             spec.Delta,
-		QuantSeed:         spec.QuantSeed,
-		QuantSeedDefault:  spec.Seed,
-		Defense:           def,
-		InitialState:      initial,
-		CheckpointPath:    j.ckptPath,
-		Pipeline:          spec.Pipeline,
-		Dataset:           spec.Dataset,
-		NoScreen:          spec.NoScreen,
-		Screen: fl.ScreenConfig{
-			ClipNorms:        spec.ClipNorms,
-			QuarantineRounds: spec.QuarantineRounds,
-		},
-		Listener: ln,
-		Registry: j.reg,
-		Logf: func(format string, args ...any) {
-			logf("job %s: "+format, append([]any{name}, args...)...)
-		},
-	})
+	cfg := spec.serverConfig()
+	cfg.Defense = def
+	cfg.InitialState = initial
+	cfg.CheckpointPath = j.ckptPath
+	cfg.Listener = ln
+	cfg.Registry = j.reg
+	cfg.Logf = func(format string, args ...any) {
+		j.logf("job %s: "+format, append([]any{spec.Name}, args...)...)
+	}
+	srv, err := flnet.NewServer(cfg)
 	if err != nil {
 		ln.Close()
 		return fmt.Errorf("service: job %q: %w", j.spec.Name, err)

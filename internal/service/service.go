@@ -616,21 +616,16 @@ func (s *Service) markClosed() {
 // ---------------------------------------------------------------------------
 // Per-client admission rate limiting.
 
-// rateLimiter is a token-bucket table keyed by job/clientID. The table
-// is bounded: at maxBuckets the stalest half is evicted, trading
-// momentary over-admission for a hard memory ceiling under client-ID
-// churn.
+// rateLimiter is a table of flnet token buckets keyed by job/clientID.
+// The table is bounded: at maxBuckets the stalest half is evicted,
+// trading momentary over-admission for a hard memory ceiling under
+// client-ID churn.
 type rateLimiter struct {
 	rate  float64
-	burst float64
+	burst int
 
 	mu      sync.Mutex
-	buckets map[string]*bucket
-}
-
-type bucket struct {
-	tokens float64
-	last   time.Time
+	buckets map[string]*flnet.TokenBucket
 }
 
 const maxBuckets = 8192
@@ -638,8 +633,8 @@ const maxBuckets = 8192
 func newRateLimiter(rate float64, burst int) *rateLimiter {
 	return &rateLimiter{
 		rate:    rate,
-		burst:   float64(burst),
-		buckets: make(map[string]*bucket),
+		burst:   burst,
+		buckets: make(map[string]*flnet.TokenBucket),
 	}
 }
 
@@ -649,33 +644,24 @@ func (l *rateLimiter) allow(key string, now time.Time) bool {
 	b, ok := l.buckets[key]
 	if !ok {
 		if len(l.buckets) >= maxBuckets {
-			l.evictStalest(now)
+			l.evictStalest()
 		}
-		b = &bucket{tokens: l.burst, last: now}
+		b = flnet.NewTokenBucket(l.rate, l.burst)
 		l.buckets[key] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * l.rate
-	if b.tokens > l.burst {
-		b.tokens = l.burst
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+	return b.Allow(now)
 }
 
 // evictStalest drops the half of the buckets with the oldest activity.
 // Called with mu held.
-func (l *rateLimiter) evictStalest(now time.Time) {
+func (l *rateLimiter) evictStalest() {
 	type aged struct {
 		key  string
 		last time.Time
 	}
 	all := make([]aged, 0, len(l.buckets))
 	for k, b := range l.buckets {
-		all = append(all, aged{k, b.last})
+		all = append(all, aged{k, b.LastUsed()})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].last.Before(all[j].last) })
 	for _, a := range all[:len(all)/2] {

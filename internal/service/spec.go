@@ -18,6 +18,9 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"repro/internal/fl"
+	"repro/internal/flnet"
 )
 
 // JobSpec is the wire form of one federation job's configuration — the
@@ -150,13 +153,59 @@ func nameOK(name string) bool {
 	return true
 }
 
-// Validate checks every cross-field invariant the job's flnet server
-// would refuse (and the path/label constraints only the control plane
-// knows about), returning the full list of typed failures. A spec that
-// passes can still fail job construction for environmental reasons (an
-// unknown dataset name, a checkpoint recorded with a different seed) —
-// but never with a half-constructed job: construction happens before the
-// job is registered or its supervisor starts.
+// serverConfig maps the spec onto the flnet.ServerConfig its job runs
+// with, minus what only a started job has (defense, initial state,
+// listener, checkpoint path, telemetry and log sinks).
+func (s *JobSpec) serverConfig() flnet.ServerConfig {
+	return flnet.ServerConfig{
+		NumClients:        s.Clients,
+		MinClients:        s.MinClients,
+		Rounds:            s.Rounds,
+		RoundDeadline:     s.RoundDeadline(),
+		SampleSize:        s.SampleSize,
+		SampleSeed:        s.SampleSeed,
+		SampleSeedDefault: s.Seed,
+		AsyncStaleness:    s.AsyncStaleness,
+		Streaming:         s.Streaming,
+		Compress:          s.Compress,
+		Quantize:          s.Quantize,
+		TopK:              s.TopK,
+		Delta:             s.Delta,
+		QuantSeed:         s.QuantSeed,
+		QuantSeedDefault:  s.Seed,
+		Pipeline:          s.Pipeline,
+		Dataset:           s.Dataset,
+		NoScreen:          s.NoScreen,
+		Screen: fl.ScreenConfig{
+			ClipNorms:        s.ClipNorms,
+			QuarantineRounds: s.QuarantineRounds,
+		},
+	}
+}
+
+// specFields maps each flnet.ServerConfig field a rule can name to the
+// JSON field of the spec that sets it.
+var specFields = map[string]string{
+	"NumClients":     "clients",
+	"Rounds":         "rounds",
+	"MinClients":     "min_clients",
+	"SampleSize":     "sample_size",
+	"RoundDeadline":  "round_deadline_ms",
+	"AsyncStaleness": "async_staleness",
+	"Quantize":       "quantize",
+	"TopK":           "topk",
+	"QuantSeed":      "quant_seed",
+}
+
+// Validate checks the control-plane rules only the service knows about
+// (name charset, dataset, seed, records) and every flnet.ServerConfig rule
+// of the config the job would run with — the same rules dinar-server's
+// flags pass through — returning the full list of typed failures. A spec
+// that passes can still fail job construction for environmental reasons
+// (an unknown dataset name, a defense that conflicts with the wire
+// options, a checkpoint recorded with a different seed) — but never with
+// a half-constructed job: construction happens before the job is
+// registered or its supervisor starts.
 func (s *JobSpec) Validate() error {
 	var errs SpecErrors
 	add := func(field, code, msg string) { errs = append(errs, &SpecError{Field: field, Code: code, Message: msg}) }
@@ -172,49 +221,18 @@ func (s *JobSpec) Validate() error {
 	if s.Dataset == "" {
 		add("dataset", "missing", "dataset is required")
 	}
-	if s.Clients <= 0 {
-		add("clients", "invalid", fmt.Sprintf("clients must be positive, got %d", s.Clients))
-	}
-	if s.Rounds <= 0 {
-		add("rounds", "invalid", fmt.Sprintf("rounds must be positive, got %d", s.Rounds))
-	}
 	if s.Seed < 0 {
 		add("seed", "invalid", fmt.Sprintf("seed must be non-negative, got %d", s.Seed))
 	}
 	if s.Records < 0 {
 		add("records", "invalid", fmt.Sprintf("records must be non-negative, got %d", s.Records))
 	}
-	if s.MinClients < 0 || (s.Clients > 0 && s.MinClients > s.Clients) {
-		add("min_clients", "invalid", fmt.Sprintf("min_clients must be in [0, clients], got %d", s.MinClients))
-	}
-	if s.SampleSize < 0 || (s.Clients > 0 && s.SampleSize > s.Clients) {
-		add("sample_size", "invalid", fmt.Sprintf("sample_size must be in [0, clients], got %d", s.SampleSize))
-	}
-	if s.SampleSize > 0 && s.MinClients > s.SampleSize {
-		add("min_clients", "conflict", fmt.Sprintf("min_clients %d exceeds sample_size %d: the quorum could never be met", s.MinClients, s.SampleSize))
-	}
-	if s.RoundDeadlineMs < 0 {
-		add("round_deadline_ms", "invalid", fmt.Sprintf("round_deadline_ms must be non-negative, got %d", s.RoundDeadlineMs))
-	}
-	if s.AsyncStaleness < 0 {
-		add("async_staleness", "invalid", fmt.Sprintf("async_staleness must be non-negative, got %d", s.AsyncStaleness))
-	}
-	quantized := false
-	switch s.Quantize {
-	case "", "none":
-	case "int8", "int16":
-		quantized = true
-	default:
-		add("quantize", "invalid", fmt.Sprintf("quantize must be \"none\", \"int8\", or \"int16\", got %q", s.Quantize))
-	}
-	if s.TopK != 0 && (s.TopK < 0 || s.TopK >= 1) {
-		add("topk", "invalid", fmt.Sprintf("topk must be in (0,1), got %g", s.TopK))
-	}
-	if s.TopK != 0 && !quantized {
-		add("topk", "conflict", "topk requires quantize")
-	}
-	if s.QuantSeed != 0 && !quantized {
-		add("quant_seed", "conflict", "quant_seed is set but quantization is disabled; a resumed quantized federation would silently diverge")
+	cfg := s.serverConfig()
+	var cerrs flnet.ConfigErrors
+	if errors.As(cfg.Validate(), &cerrs) {
+		for _, e := range cerrs {
+			add(specFields[e.Field], e.Code, e.Message)
+		}
 	}
 	if len(errs) == 0 {
 		return nil
